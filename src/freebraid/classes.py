@@ -1,33 +1,53 @@
-"""Reduced-word enumeration, commutation classes, signatures, class graphs.
+"""Commutation classes as heaps of pieces, their signatures and class graphs.
 
-Reduced words of one element are generated by breadth-first closure under
-word-level braid relations.  Classes are keyed by the orientations of the
-nonorthogonal root pairs, which pin down the heap order of a sequence, so
-no per-sequence transitive closure is needed during enumeration.  The class
-signature records, per contractible triple, whether the heap order of the
-two summands agrees with a fixed precedence on roots; flipping one long
-braid move flips exactly one bit.
+A commutation class of an element w is a class of its reduced words under
+swaps of adjacent commuting letters.  It is a heap of pieces (Viennot): one
+piece per letter occurrence, where a piece lies below every later piece
+whose letter is equal or adjacent to its own, and the words of the class are
+exactly the linear extensions of the heap.
+
+Classes are found by a breadth-first search whose states are classes, not
+words.  A class is keyed by its lex-least word, read off the heap by taking
+the smallest letter among the minimal pieces again and again.  Each piece
+carries the index of its root in the root sequence of canonical_word(w).
+Long braid moves are the edges: two consecutive s-pieces p < r admit one
+exactly when the open heap interval (p, r) is a single piece q.  The move
+writes the word as U + (p q r) + D, with U the pieces not above p, replaces
+s t s by t s t and reverses the root indices of the three pieces.  The move
+labels {root(p), root(q), root(r)} are exactly the contractible triples.
+
+A class's size is the number of linear extensions of its heap, counted by a
+DP over its down-sets.  Reduced words are listed, as linear extensions of
+each class, only by enumerate_reduced_words and class_partition.  Caps: the
+class search counts commutation classes, the size DP counts the down-sets
+of one size it holds (never more than the class has words), and word
+listing counts reduced words; each raises CapExceededError once its tally
+passes the cap.  One engine per element is kept, whatever cap built it;
+every use checks its own cap against it.
+
+The class signature records, per contractible triple, whether the heap order
+of the two summands agrees with a fixed precedence on roots; flipping one
+long braid move flips exactly one bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Iterator, TYPE_CHECKING
 
 from .coxeter import (
     CapExceededError,
     DEFAULT_MAX_WORD_LENGTH,
     DEFAULT_SEQUENCE_CAP,
+    CoxeterGraph,
     Element,
     Root,
     Word,
     canonical_word,
     format_word,
-    pairing,
 )
-from .rootseq import RootSequence, inversion_set, root_sequence
+from .rootseq import RootSequence, root_sequence
 
 if TYPE_CHECKING:
     from .triples import InversionTriple
@@ -121,176 +141,349 @@ class Bipartition:
     coloring: tuple[int, ...] | None
 
 
-class _Orbit:
-    """All reduced words of one element plus class bookkeeping."""
-
-    __slots__ = ("words", "classes", "edges")
-
-    def __init__(
-        self,
-        words: list[Word],
-        classes: list[tuple[Word, int, frozenset[tuple[Root, ...]]]],
-        edges: frozenset[tuple[int, int]],
-    ):
-        self.words = words
-        self.classes = classes  # (canonical word, size, member sequences) sorted
-        self.edges = edges
+def _closed_neighborhoods(g: CoxeterGraph) -> list[int]:
+    """closed[s] = bitmask of s and its neighbors, bit t standing for letter t."""
+    closed = [0] * (g.n + 1)
+    for s in g.generators():
+        closed[s] = sum(1 << t for t in (s,) + g.neighbors[s - 1])
+    return closed
 
 
-def _orbit(w: Element, cap: int, max_length: int) -> _Orbit:
-    g = w.graph
-    if w.length > max_length:
-        raise CapExceededError(
-            f"element length {w.length} exceeds the word-length cap {max_length}", count=0
+def _heap(word: Word, closed: list[int]) -> tuple[dict[int, int], tuple[int, ...]]:
+    """The heap of `word`, its pieces as bits in word order.
+
+    Returns, per piece bit, the mask of the pieces it directly lies on, and
+    each letter's chain of pieces, by letter.  A piece can join a down-set
+    when it is the lowest piece of its chain outside the set and every piece
+    it lies on is inside.
+    """
+    below: dict[int, int] = {}
+    last: dict[int, int] = {}
+    chains: dict[int, int] = {}
+    for p, s in enumerate(word):
+        near = closed[s]
+        m = 0
+        for t, k in last.items():
+            if near >> t & 1:
+                m |= 1 << k
+        below[1 << p] = m
+        last[s] = p
+        chains[s] = chains.get(s, 0) | 1 << p
+    return below, tuple(chains[s] for s in sorted(chains))
+
+
+def _addable(down: int, below: dict[int, int], chains: tuple[int, ...]) -> Iterator[int]:
+    """Bits of the pieces that can join the down-set `down`, by letter."""
+    for chain in chains:
+        free = chain & ~down
+        if free:
+            bit = free & -free
+            if not below[bit] & ~down:
+                yield bit
+
+
+def _lex_least(
+    word: list[int], idx: list[int], closed: list[int]
+) -> tuple[Word, tuple[int, ...]]:
+    """Lex-least linear extension of the heap of `word`, carrying root indices:
+    the smallest letter among the minimal pieces, again and again."""
+    below, chains = _heap(word, closed)
+    down = 0
+    out_word, out_idx = [], []
+    for _ in word:
+        bit = next(_addable(down, below, chains))
+        down |= bit
+        p = bit.bit_length() - 1
+        out_word.append(word[p])
+        out_idx.append(idx[p])
+    return tuple(out_word), tuple(out_idx)
+
+
+def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Word positions (p, q, r) of every long braid move on the class heap.
+
+    p and r are consecutive s-pieces.  A piece strictly between them in the
+    heap needs an s-neighbor between them in the word on each side of it,
+    so the open interval (p, r) is one piece exactly when one letter between
+    positions p and r is adjacent to s.
+    """
+    n = len(word)
+    for p, s in enumerate(word):
+        adjacent = closed[s] ^ (1 << s)
+        q = -1
+        for k in range(p + 1, n):
+            t = word[k]
+            if t == s:
+                if q >= 0:
+                    yield p, q, k
+                break
+            if adjacent >> t & 1:
+                if q >= 0:
+                    break
+                q = k
+
+
+def _braid(
+    word: Word, idx: tuple[int, ...], p: int, q: int, r: int, closed: list[int]
+) -> tuple[Word, tuple[int, ...]]:
+    """The class one long braid move away: U + (p q r) + D with sts -> tst."""
+    low = list(range(p))
+    high = []
+    above = closed[word[p]]
+    for k in range(p + 1, len(word)):
+        x = word[k]
+        if above >> x & 1:
+            above |= closed[x]
+            if k != q and k != r:
+                high.append(k)
+        else:
+            low.append(k)
+    s, t = word[p], word[q]
+    new_word = [word[k] for k in low] + [t, s, t] + [word[k] for k in high]
+    new_idx = [idx[k] for k in low] + [idx[r], idx[q], idx[p]] + [idx[k] for k in high]
+    return _lex_least(new_word, new_idx, closed)
+
+
+def _cap(cap: int | None) -> int:
+    return cap if cap is not None else DEFAULT_SEQUENCE_CAP
+
+
+def _too_many(cap: int) -> CapExceededError:
+    return CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
+
+
+def _too_wide(cap: int) -> CapExceededError:
+    return CapExceededError(f"more than {cap} down-sets of one size in a class heap", count=cap + 1)
+
+
+def _linear_extension_count(word: Word, closed: list[int], cap: int) -> tuple[int, int]:
+    """Number of linear extensions of the heap of `word`, layer by layer over
+    its down-sets, and the size of the widest layer.
+
+    A layer never holds more down-sets than the heap has linear extensions,
+    so ``cap`` bounds the work without tripping below the class's word count.
+    """
+    below, chains = _heap(word, closed)
+    ways = {0: 1}
+    widest = 1
+    for _ in word:
+        grown: dict[int, int] = {}
+        for down, k in ways.items():
+            for bit in _addable(down, below, chains):
+                up = down | bit
+                if up in grown:
+                    grown[up] += k
+                elif len(grown) < cap:
+                    grown[up] = k
+                else:
+                    raise _too_wide(cap)
+        ways = grown
+        widest = max(widest, len(grown))
+    return ways[(1 << len(word)) - 1], widest
+
+
+def _linear_extensions(
+    word: Word, idx: tuple[int, ...], closed: list[int]
+) -> Iterator[tuple[Word, tuple[int, ...]]]:
+    """Every linear extension of the heap of `word` with its root indices, in
+    lexicographic order."""
+    below, chains = _heap(word, closed)
+    full = (1 << len(word)) - 1
+    letters: list[int] = []
+    roots: list[int] = []
+
+    def grow(down: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
+        if down == full:
+            yield tuple(letters), tuple(roots)
+            return
+        for bit in _addable(down, below, chains):
+            p = bit.bit_length() - 1
+            letters.append(word[p])
+            roots.append(idx[p])
+            yield from grow(down | bit)
+            letters.pop()
+            roots.pop()
+
+    return grow(0)
+
+
+class _Engine:
+    """The commutation classes of one element, found by a search over heaps.
+
+    ``base`` is the root sequence of canonical_word(w).  ``classes`` holds
+    (lex-least word, root indices) sorted by word, where ``idx[p]`` indexes
+    into ``base`` the root carried by the piece at word position p.
+    ``edges`` joins classes one long braid move apart and ``labels`` holds
+    the sorted move labels, i.e. the contractible triples.
+    """
+
+    __slots__ = ("base", "roots", "closed", "classes", "edges", "labels", "_sizes", "_widest")
+
+    def __init__(self, w: Element, cap: int):
+        from .triples import InversionTriple  # deferred: triples builds on classes
+
+        g = w.graph
+        closed = _closed_neighborhoods(g)
+        start = canonical_word(w)
+        base = root_sequence(g, start).roots
+        words = [start]
+        idxs = [tuple(range(len(start) - 1, -1, -1))]
+        found = {start: 0}
+        pairs: set[tuple[int, int]] = set()
+        moved: set[tuple[int, int, int]] = set()
+        i = 0
+        while i < len(words):
+            word, idx = words[i], idxs[i]
+            for p, q, r in _long_moves(word, closed):
+                a, b = sorted((idx[p], idx[r]), key=base.__getitem__)
+                moved.add((a, idx[q], b))
+                nw, ni = _braid(word, idx, p, q, r, closed)
+                j = found.get(nw)
+                if j is None:
+                    j = found[nw] = len(words)
+                    if j >= cap:
+                        raise _too_many(cap)
+                    words.append(nw)
+                    idxs.append(ni)
+                pairs.add((i, j) if i < j else (j, i))
+            i += 1
+        order = sorted(range(len(words)), key=words.__getitem__)
+        rank = [0] * len(order)
+        for k, old in enumerate(order):
+            rank[old] = k
+        self.base = base
+        self.roots = frozenset(base)
+        self.closed = closed
+        self.classes = [(words[k], idxs[k]) for k in order]
+        self.edges = frozenset(
+            (min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs
         )
-    start = canonical_word(w)
-    base = root_sequence(g, start).roots
-    n = len(base)
-    nonorth = [[pairing(g, a, b) != 0 for b in base] for a in base]
+        self.labels = tuple(sorted(InversionTriple(base[a], base[m], base[b]) for a, m, b in moved))
+        self._sizes: list[int] | None = None
+        self._widest = 0
 
-    # Sequences are carried as index tuples into `base`; each braid move on a
-    # word swaps the two matching sequence positions (word position p, read
-    # from the left, owns sequence entry n-p-1).
-    visited: dict[Word, tuple[int, ...]] = {start: tuple(range(n))}
-    queue: deque[Word] = deque([start])
-    long_pairs: set[tuple[Word, Word]] = set()
-    while queue:
-        word = queue.popleft()
-        seq = visited[word]
-        for p in range(n - 1):
-            s, t = word[p], word[p + 1]
-            if s != t and not g.adjacent(s, t):
-                nw = word[:p] + (t, s) + word[p + 2:]
-                if nw not in visited:
-                    a = n - p - 2
-                    visited[nw] = seq[:a] + (seq[a + 1], seq[a]) + seq[a + 2:]
-                    if len(visited) > cap:
-                        raise CapExceededError(
-                            f"more than {cap} root sequences", count=len(visited)
-                        )
-                    queue.append(nw)
-        for p in range(n - 2):
-            s, t = word[p], word[p + 1]
-            if s != t and word[p + 2] == s and g.adjacent(s, t):
-                nw = word[:p] + (t, s, t) + word[p + 3:]
-                long_pairs.add((word, nw) if word <= nw else (nw, word))
-                if nw not in visited:
-                    a, b = n - p - 3, n - p - 1
-                    lst = list(seq)
-                    lst[a], lst[b] = lst[b], lst[a]
-                    visited[nw] = tuple(lst)
-                    if len(visited) > cap:
-                        raise CapExceededError(
-                            f"more than {cap} root sequences", count=len(visited)
-                        )
-                    queue.append(nw)
+    def sequence(self, idx: tuple[int, ...]) -> tuple[Root, ...]:
+        """Root sequence of a word whose pieces carry root indices ``idx``."""
+        return tuple(self.base[i] for i in reversed(idx))
 
-    def key_of(seq: tuple[int, ...]) -> int:
-        k = 0
-        for p in range(n):
-            a = seq[p]
-            row = nonorth[a]
-            for q in range(p + 1, n):
-                b = seq[q]
-                if row[b]:
-                    k |= 1 << (a * n + b)
-        return k
+    def sizes(self, cap: int) -> list[int]:
+        """Class sizes; ``cap`` bounds the down-sets of one size the DP holds."""
+        if self._sizes is None:
+            counted = [_linear_extension_count(word, self.closed, cap) for word, _ in self.classes]
+            self._sizes = [size for size, _ in counted]
+            self._widest = max(widest for _, widest in counted)
+        if self._widest > cap:
+            raise _too_wide(cap)
+        return self._sizes
 
-    keys = {word: key_of(seq) for word, seq in visited.items()}
-    words = sorted(visited)
-    groups: dict[int, list] = {}
-    for word in words:
-        rec = groups.setdefault(keys[word], [word, 0, []])
-        rec[1] += 1
-        rec[2].append(word)
-    ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-    classes = []
-    for _, (canon, size, members) in ordered:
-        seqs = frozenset(tuple(base[i] for i in visited[m]) for m in members)
-        classes.append((canon, size, seqs))
-    index_of = {key: i for i, (key, _) in enumerate(ordered)}
-    edges = set()
-    for u, v in long_pairs:
-        ku, kv = keys[u], keys[v]
-        if ku != kv:
-            i, j = index_of[ku], index_of[kv]
-            edges.add((min(i, j), max(i, j)))
-    return _Orbit(words, classes, frozenset(edges))
+    def vertices(self, g: CoxeterGraph, cap: int) -> tuple[CommutationClass, ...]:
+        return tuple(
+            CommutationClass(RootSequence(g, self.sequence(idx)), word, size)
+            for (word, idx), size in zip(self.classes, self.sizes(cap))
+        )
+
+    def members(self, cap: int) -> list[list[tuple[Word, tuple[int, ...]]]]:
+        """Per class, its reduced words with root indices; ``cap`` counts words."""
+        count = 0
+        out = []
+        for word, idx in self.classes:
+            members = []
+            for member in _linear_extensions(word, idx, self.closed):
+                count += 1
+                if count > cap:
+                    raise CapExceededError(f"more than {cap} reduced words", count=count)
+                members.append(member)
+            out.append(members)
+        return out
 
 
-@lru_cache(maxsize=64)
-def _orbit_cached(w: Element, cap: int, max_length: int) -> _Orbit:
-    return _orbit(w, cap, max_length)
+# The engines of the most recently used elements, least recent first.  An
+# engine does not depend on the cap it was built under, so each use checks
+# its own cap against the engine.
+_ENGINES: dict[Element, _Engine] = {}
+_ENGINES_KEPT = 8
 
 
-def _get_orbit(w: Element, cap: int | None = None, max_length: int | None = None) -> _Orbit:
-    return _orbit_cached(
-        w, cap if cap is not None else DEFAULT_SEQUENCE_CAP,
-        max_length if max_length is not None else DEFAULT_MAX_WORD_LENGTH,
-    )
+def _engine(w: Element, cap: int | None = None, max_length: int | None = None) -> _Engine:
+    """The class engine of w, guarded by the word-length cap and the class cap."""
+    limit = max_length if max_length is not None else DEFAULT_MAX_WORD_LENGTH
+    if w.length > limit:
+        raise CapExceededError(
+            f"element length {w.length} exceeds the word-length cap {limit}", count=0
+        )
+    cap = _cap(cap)
+    e = _ENGINES.pop(w, None)
+    if e is None:
+        e = _Engine(w, cap)
+    _ENGINES[w] = e
+    if len(_ENGINES) > _ENGINES_KEPT:
+        del _ENGINES[next(iter(_ENGINES))]
+    if len(e.classes) > cap:
+        raise _too_many(cap)
+    return e
 
 
 def enumerate_reduced_words(
     w: Element, cap: int | None = None, max_length: int | None = None
 ) -> list[Word]:
-    """All reduced words of w, lexicographically sorted."""
-    return list(_get_orbit(w, cap, max_length).words)
+    """All reduced words of w, lexicographically sorted; ``cap`` counts words
+    (and so also classes, which are never more)."""
+    cap = _cap(cap)
+    members = _engine(w, cap, max_length).members(cap)
+    return sorted(word for block in members for word, _ in block)
 
 
 def enumerate_classes(
     w: Element, cap: int | None = None, max_length: int | None = None
 ) -> list[CommutationClass]:
     """All commutation classes of w, sorted by canonical (lex-least) word."""
-    g = w.graph
-    return [
-        CommutationClass(root_sequence(g, canon), canon, size)
-        for canon, size, _ in _get_orbit(w, cap, max_length).classes
-    ]
+    cap = _cap(cap)
+    return list(_engine(w, cap, max_length).vertices(w.graph, cap))
 
 
 def class_partition(
     w: Element, cap: int | None = None, max_length: int | None = None
 ) -> list[frozenset[tuple[Root, ...]]]:
-    """Member root sequences per class (as root tuples), in class order."""
-    return [seqs for _, _, seqs in _get_orbit(w, cap, max_length).classes]
+    """Member root sequences per class (as root tuples), in class order;
+    ``cap`` counts root sequences."""
+    cap = _cap(cap)
+    e = _engine(w, cap, max_length)
+    return [frozenset(e.sequence(idx) for _, idx in block) for block in e.members(cap)]
 
 
-def f_signature(w: Element, c: CommutationClass, precedence: Precedence = LEX) -> FSignature:
-    from .triples import contractible_triples  # deferred: triples builds on classes
-
-    if c.canonical.graph != w.graph or frozenset(c.canonical.roots) != inversion_set(w):
+def f_signature(
+    w: Element, c: CommutationClass, precedence: Precedence = LEX, cap: int | None = None
+) -> FSignature:
+    e = _engine(w, cap)
+    if c.canonical.graph != w.graph or frozenset(c.canonical.roots) != e.roots:
         raise ValueError("class does not belong to this element")
     pos = {r: i for i, r in enumerate(c.canonical.roots)}
     entries = []
-    for t in sorted(contractible_triples(w)):
+    for t in e.labels:
         heap_low_first = pos[t.low] < pos[t.high]
         prec_low_first = precedence.precedes(t.low, t.high)
         entries.append((t, 0 if heap_low_first == prec_low_first else 1))
     return FSignature(tuple(entries))
 
 
-def parity(w: Element, c: CommutationClass, precedence: Precedence = LEX) -> int:
+def parity(
+    w: Element, c: CommutationClass, precedence: Precedence = LEX, cap: int | None = None
+) -> int:
     """+1 or -1 according to the weight of the class signature."""
-    return -1 if f_signature(w, c, precedence).weight() % 2 else 1
+    return -1 if f_signature(w, c, precedence, cap).weight() % 2 else 1
 
 
 def count_classes_and_check_bound(w: Element, cap: int | None = None) -> BoundCheck:
-    from .triples import contractible_triples  # deferred: triples builds on classes
-
-    k = len(_get_orbit(w, cap).classes)
-    n = len(contractible_triples(w))
+    e = _engine(w, cap)
+    k, n = len(e.classes), len(e.labels)
     bound = 2**n
     return BoundCheck(k, n, k <= bound, k == bound)
 
 
 def commutation_graph(w: Element, cap: int | None = None) -> CommutationGraph:
-    orbit = _get_orbit(w, cap)
-    g = w.graph
-    vertices = tuple(
-        CommutationClass(root_sequence(g, canon), canon, size)
-        for canon, size, _ in orbit.classes
-    )
-    return CommutationGraph(vertices, orbit.edges)
+    cap = _cap(cap)
+    e = _engine(w, cap)
+    return CommutationGraph(e.vertices(w.graph, cap), e.edges)
 
 
 def is_bipartite(graph: CommutationGraph) -> Bipartition:

@@ -19,6 +19,7 @@ from .coxeter import (
     DEFAULT_SEQUENCE_CAP,
     Element,
     ParseError,
+    canonical_word,
     element_of,
     format_word,
     parse_graph,
@@ -30,6 +31,7 @@ from .classes import (
     class_partition,
     commutation_graph,
     count_classes_and_check_bound,
+    enumerate_classes,
     enumerate_reduced_words,
     f_signature,
     is_bipartite,
@@ -37,7 +39,12 @@ from .classes import (
     to_dot,
 )
 from .oracle import oracle_classes_by_bfs, oracle_contractible, oracle_reduced_words
-from .triples import contractible_triples, inversion_triples, is_contractible, is_freely_braided
+from .triples import (
+    _disjoint,
+    contractible_triples,
+    inversion_triples,
+    is_contractible,
+)
 from .rootseq import root_sequence
 from .typea import (
     enumerate_freely_braided,
@@ -134,13 +141,20 @@ def _verify(w: Element, cap: int) -> None:
     expected = set(oracle_reduced_words(w, cap))
     if produced != expected:
         raise VerificationError("reduced-word enumeration disagrees with descent oracle")
-    if set(class_partition(w, cap)) != set(oracle_classes_by_bfs(w, cap)):
+    blocks = oracle_classes_by_bfs(w, cap)
+    if set(class_partition(w, cap)) != set(blocks):
         raise VerificationError("class partition disagrees with BFS oracle")
+    block_size = {seq: len(block) for block in blocks for seq in block}
+    for c in enumerate_classes(w, cap):
+        if c.size != block_size[c.canonical.roots]:
+            raise VerificationError(
+                f"class size disagrees with BFS oracle for {format_word(c.canonical_word)}"
+            )
     for t in sorted(inversion_triples(w)):
         votes = {
-            is_contractible(w, t),
-            is_contractible(w, t, method="cover-above"),
-            is_contractible(w, t, method="cover-below"),
+            is_contractible(w, t, cap=cap),
+            is_contractible(w, t, method="cover-above", cap=cap),
+            is_contractible(w, t, method="cover-below", cap=cap),
             oracle_contractible(w, t, cap),
         }
         if len(votes) != 1:
@@ -152,31 +166,30 @@ def cmd_analyze(args) -> int:
     cap = _cap(args)
     precedence = PRECEDENCES[args.precedence]
     triples = sorted(inversion_triples(w))
-    contractible = contractible_triples(w)
+    contractible = contractible_triples(w, cap=cap)
     bound = count_classes_and_check_bound(w, cap)
     graph = commutation_graph(w, cap)
-    words = enumerate_reduced_words(w, cap)
     classes = []
     for c in graph.vertices:
-        sig = f_signature(w, c, precedence)
+        sig = f_signature(w, c, precedence, cap)
         classes.append(
             {
                 "canonical": format_word(c.canonical_word),
                 "size": c.size,
                 "signature_bits": list(sig.vector()),
-                "parity": parity(w, c, precedence),
+                "parity": parity(w, c, precedence, cap),
             }
         )
     doc = {
         **meta,
-        "element": format_word(words[0]),
+        "element": format_word(canonical_word(w)),
         "length": w.length,
         "n_triples": len(triples),
         "N": bound.contractible,
         "class_count": bound.classes,
         "bound_holds": bound.bound_holds,
         "achieves_bound": bound.achieves_bound,
-        "freely_braided": is_freely_braided(w),
+        "freely_braided": _disjoint(contractible),
         "precedence": precedence.name,
         "triples": [
             {
@@ -220,8 +233,10 @@ def cmd_graph(args) -> int:
     cap = _cap(args)
     precedence = PRECEDENCES[args.precedence]
     graph = commutation_graph(w, cap)
-    parities = tuple(parity(w, c, precedence) for c in graph.vertices) if args.parity else None
-    label = format_word(enumerate_reduced_words(w, cap)[0]) or "e"
+    parities = (
+        tuple(parity(w, c, precedence, cap) for c in graph.vertices) if args.parity else None
+    )
+    label = format_word(canonical_word(w)) or "e"
     if args.dot:
         sys.stdout.write(to_dot(graph, parities, label))
         return EXIT_OK
@@ -260,12 +275,13 @@ def cmd_enumerate(args) -> int:
         raise CapExceededError(f"rank {args.n} exceeds the enumeration limit {args.limit}")
     from itertools import permutations
 
+    cap = _cap(args)
     rows = []
     for k in range(1, args.n + 1):
         count, _ = enumerate_freely_braided(k, limit=args.limit)
         achievers = 0
         for p in permutations(range(1, k + 1)):
-            if count_classes_and_check_bound(perm_to_element(p)).achieves_bound:
+            if count_classes_and_check_bound(perm_to_element(p), cap).achieves_bound:
                 achievers += 1
         rows.append({"n": k, "freely_braided": count, "bound_achievers": achievers})
     doc = {"type": "A", "rows": rows}
@@ -286,7 +302,8 @@ def _add_element_args(p: argparse.ArgumentParser, perm: bool = True) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-words", type=int, default=None,
-                   help="cap on enumerated root sequences (overrides FB_MAX_WORDS)")
+                   help="cap on commutation classes, and on reduced words where words "
+                        "are listed (--verify); overrides FB_MAX_WORDS")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads; results are deterministic regardless "
                         "(the enumerator runs single-threaded per call)")

@@ -2,21 +2,21 @@
 
 An inversion triple of w is a subset {low, low+high, high} of its inversion
 set.  The triple is contractible when some root sequence of w carries its
-three roots consecutively; equivalently, in some class heap order the sum
-covers one of its summands (or, dually, is covered by one).  An element is
-freely braided when its contractible triples are pairwise disjoint, and then
-every class has a representative in which short moves alone push each
+three roots consecutively, i.e. when it labels a long braid move of the
+class engine; equivalently, in some class heap order the sum covers one of
+its summands (or, dually, is covered by one).  An element is freely
+braided when its contractible triples are pairwise disjoint, and then every
+class has a representative in which short moves alone push each
 contractible triple into a consecutive block.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .coxeter import Element, Root, is_path_forest, pairing
 from .rootseq import RootSequence, _closure_masks, inversion_set
-from .classes import enumerate_classes
+from .classes import _engine
 
 __all__ = [
     "InversionTriple",
@@ -74,59 +74,21 @@ def _covers(succ: list[int], lo: int, hi: int) -> bool:
     return True
 
 
-def _cover_hit(w: Element, t: InversionTriple, method: str) -> bool:
-    g = w.graph
-    for c in enumerate_classes(w):
-        roots = c.canonical.roots
-        pos = {r: i for i, r in enumerate(roots)}
-        succ = _closure_masks(g, roots)
-        pl, pm, ph = pos[t.low], pos[t.mid], pos[t.high]
-        if method == "cover-above":
-            if _covers(succ, pl, pm) or _covers(succ, ph, pm):
-                return True
-        else:
-            if _covers(succ, pm, pl) or _covers(succ, pm, ph):
-                return True
-    return False
+_COVER_METHODS = ("cover-above", "cover-below")
 
 
-def is_contractible(w: Element, t: InversionTriple, method: str = "auto") -> bool:
-    """Does some root sequence of w carry the triple consecutively?
-
-    ``auto`` answers True outright when every graph component is a path
-    (there every inversion triple is contractible) and otherwise searches
-    the class heap orders for the sum covering a summand.  ``cover-above``
-    forces that search; ``cover-below`` runs the dual search (a summand
-    covering the sum).  The three agree; tests hold them to it.
-    """
-    t = _validated(w, t)
-    if method == "auto":
-        if is_path_forest(w.graph):
-            return True
-        method = "cover-above"
-    if method not in ("cover-above", "cover-below"):
+def _cover_hits(
+    w: Element, triples: Iterable[InversionTriple], method: str, cap: int | None
+) -> frozenset[InversionTriple]:
+    """The triples whose sum covers a summand (``cover-above``), or is covered
+    by one (``cover-below``), in some class heap order."""
+    if method not in _COVER_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return _cover_hit(w, t, method)
-
-
-def contractible_triples(w: Element, method: str = "auto") -> frozenset[InversionTriple]:
-    # Cached: signature computation asks once per class of the same element.
-    return _contractible_cached(w, method)
-
-
-@lru_cache(maxsize=256)
-def _contractible_cached(w: Element, method: str) -> frozenset[InversionTriple]:
-    triples = inversion_triples(w)
-    if not triples:
-        return frozenset()
-    if method == "auto" and is_path_forest(w.graph):
-        return triples
-    if method == "auto":
-        method = "cover-above"
     g = w.graph
+    e = _engine(w, cap)
     prepared = []
-    for c in enumerate_classes(w):
-        roots = c.canonical.roots
+    for _, idx in e.classes:
+        roots = e.sequence(idx)
         prepared.append(({r: i for i, r in enumerate(roots)}, _closure_masks(g, roots)))
     out = set()
     for t in triples:
@@ -142,14 +104,47 @@ def _contractible_cached(w: Element, method: str) -> frozenset[InversionTriple]:
     return frozenset(out)
 
 
-def is_freely_braided(w: Element) -> bool:
-    """True iff the contractible triples of w are pairwise disjoint."""
+def is_contractible(
+    w: Element, t: InversionTriple, method: str = "auto", cap: int | None = None
+) -> bool:
+    """Does some root sequence of w carry the triple consecutively?
+
+    ``auto`` reads contractible_triples: on a path forest every inversion
+    triple is contractible, elsewhere the long braid move labels of the
+    class engine are.  ``cover-above`` searches the class heap orders for the sum covering a
+    summand; ``cover-below`` runs the dual search (a summand covering the
+    sum).  The three agree; tests hold them to it.
+    """
+    t = _validated(w, t)
+    if method == "auto":
+        return t in contractible_triples(w, cap=cap)
+    return t in _cover_hits(w, (t,), method, cap)
+
+
+def contractible_triples(
+    w: Element, method: str = "auto", cap: int | None = None
+) -> frozenset[InversionTriple]:
+    """All inversion triples on a path forest, else the move labels of the
+    class engine; or the triples a cover search accepts."""
+    if method == "auto":
+        if is_path_forest(w.graph):
+            return inversion_triples(w)
+        return frozenset(_engine(w, cap).labels)
+    return _cover_hits(w, inversion_triples(w), method, cap)
+
+
+def _disjoint(triples: Iterable[InversionTriple]) -> bool:
     seen: set[Root] = set()
-    for t in contractible_triples(w):
+    for t in triples:
         if seen & {t.low, t.mid, t.high}:
             return False
         seen.update((t.low, t.mid, t.high))
     return True
+
+
+def is_freely_braided(w: Element, cap: int | None = None) -> bool:
+    """True iff the contractible triples of w are pairwise disjoint."""
+    return _disjoint(contractible_triples(w, cap=cap))
 
 
 def _migrate_right(g, seq: list[Root], i: int, target: int) -> None:

@@ -1,0 +1,165 @@
+"""The class-level engine against the literature and against the oracles.
+
+The w0 counts come from closed forms and published tables, at ranks where
+listing reduced words is out of reach, so these tests call enumerate_classes
+only.  The property tests run the engine on random simple graphs, connected
+or not, cyclic ones included (whose groups are infinite), and diff it
+against the brute-force oracles.
+"""
+
+from __future__ import annotations
+
+from math import comb, factorial, prod
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import freebraid.classes
+from freebraid import (
+    CapExceededError,
+    CoxeterGraph,
+    canonical_word,
+    class_partition,
+    commutation_graph,
+    contractible_triples,
+    count_classes_and_check_bound,
+    element_of,
+    enumerate_classes,
+    f_signature,
+    identity_element,
+    inversion_triples,
+    is_bipartite,
+    is_freely_braided,
+    parse_graph,
+    times_generator,
+)
+from freebraid.cli import EXIT_CAP, EXIT_OK, main
+from freebraid.classes import _closed_neighborhoods, _linear_extension_count
+from freebraid.oracle import oracle_classes_by_bfs, oracle_contractible
+from freebraid.typea import perm_to_element
+
+# Commutation classes of w0 in S_n (Knuth, Axioms and Hulls, 1992; OEIS A006245).
+KNUTH_W0_CLASSES = {5: 62, 6: 908, 7: 24_698}
+# Reduced words of w0 in S_n (Stanley, 1984).
+STANLEY_W0_WORDS = {5: 768, 6: 292_864, 7: 1_100_742_656}
+
+
+def stanley(n: int) -> int:
+    """C(n,2)! / prod_{i<n} (2i-1)^(n-i)."""
+    return factorial(comb(n, 2)) // prod((2 * i - 1) ** (n - i) for i in range(1, n))
+
+
+def test_stanley_table_matches_closed_form():
+    assert {n: stanley(n) for n in STANLEY_W0_WORDS} == STANLEY_W0_WORDS
+
+
+@pytest.mark.parametrize("n", sorted(KNUTH_W0_CLASSES))
+def test_w0_classes_and_sizes_match_the_literature(n):
+    classes = enumerate_classes(perm_to_element(tuple(range(n, 0, -1))))
+    assert len(classes) == KNUTH_W0_CLASSES[n]
+    assert sum(c.size for c in classes) == STANLEY_W0_WORDS[n]
+
+
+@st.composite
+def graph_and_word(draw):
+    """A simple graph on at most 5 nodes and a reduced word of length at most 7.
+
+    The word keeps each drawn letter that lengthens it, so most draws give
+    elements long enough to have several classes.
+    """
+    n = draw(st.integers(1, 5))
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = CoxeterGraph(n, frozenset(edges))
+    w = identity_element(g)
+    word = []
+    for s in draw(st.lists(st.integers(1, n), max_size=12)):
+        ws = times_generator(w, s)
+        if ws.length > w.length and len(word) < 7:
+            w = ws
+            word.append(s)
+    return g, tuple(word)
+
+
+AFFINE_A2 = CoxeterGraph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
+A3_PLUS_A2 = CoxeterGraph(5, frozenset({(1, 2), (2, 3), (4, 5)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_word())
+@example((AFFINE_A2, (1, 2, 1, 3, 2, 1, 3)))
+@example((A3_PLUS_A2, (1, 2, 1, 4, 5, 4, 3)))
+def test_engine_matches_oracles_on_random_graphs(case):
+    g, word = case
+    w = element_of(g, word)
+    classes = enumerate_classes(w)
+
+    blocks = oracle_classes_by_bfs(w)
+    assert set(class_partition(w)) == set(blocks)
+    block_of = {seq: block for block in blocks for seq in block}
+    assert [c.size for c in classes] == [len(block_of[c.canonical.roots]) for c in classes]
+
+    expected = {t for t in inversion_triples(w) if oracle_contractible(w, t)}
+    assert contractible_triples(w) == expected
+    # The signature has one bit per move label, on path forests too.
+    assert {t for t, _ in f_signature(w, classes[0]).entries} == expected
+
+    graph = commutation_graph(w)
+    assert is_bipartite(graph).bipartite
+    bits = [f_signature(w, c).vector() for c in graph.vertices]
+    for i, j in graph.edges:
+        assert sum(a != b for a, b in zip(bits[i], bits[j])) == 1
+
+    bound = count_classes_and_check_bound(w)
+    assert bound.classes == len(classes) <= 2**bound.contractible
+
+
+def antichain(k: int) -> tuple[int, ...]:
+    """2 1 4 3 ...: k pairwise commuting letters, one class of k! words."""
+    return tuple(v for i in range(k) for v in (2 * i + 2, 2 * i + 1))
+
+
+def test_class_size_dp_respects_the_cap():
+    w = perm_to_element(antichain(12))  # the widest layer holds C(12, 6) = 924 down-sets
+    with pytest.raises(CapExceededError) as info:
+        enumerate_classes(w, cap=100)
+    assert info.value.count == 101
+    # The DP stops at the cap itself rather than checking after the count.
+    closed = _closed_neighborhoods(w.graph)
+    with pytest.raises(CapExceededError):
+        _linear_extension_count(canonical_word(w), closed, 100)
+    assert _linear_extension_count(canonical_word(w), closed, 924) == (factorial(12), 924)
+    assert [c.size for c in enumerate_classes(w)] == [factorial(12)]
+    with pytest.raises(CapExceededError):
+        enumerate_classes(w, cap=100)  # the cached sizes answer to the cap too
+
+
+def test_wide_heap_exits_on_the_cap(capsys):
+    perm = ",".join(str(v) for v in antichain(12))
+    assert main(["analyze", "--perm", perm, "--max-words", "100"]) == EXIT_CAP
+    assert "down-sets" in capsys.readouterr().err
+
+
+def test_a_cached_engine_still_answers_to_each_cap():
+    w = perm_to_element((5, 4, 3, 2, 1))
+    assert len(enumerate_classes(w)) == 62
+    with pytest.raises(CapExceededError) as info:
+        count_classes_and_check_bound(w, cap=61)
+    assert info.value.count == 62
+    assert count_classes_and_check_bound(w, cap=62).classes == 62
+
+
+def test_path_forests_skip_the_engine():
+    w = perm_to_element(tuple(range(8, 0, -1)))  # 1,232,944 classes, above the default cap
+    assert len(contractible_triples(w)) == comb(8, 3)
+    assert not is_freely_braided(w)
+
+
+def test_max_words_governs_every_engine_build(capsys, monkeypatch):
+    """The flag, not the library default, caps each engine use in analyze."""
+    monkeypatch.setattr(freebraid.classes, "DEFAULT_SEQUENCE_CAP", 10)
+    w0_d4 = ["analyze", "-g", "D4", "-w", "2 1 3 4 2 1 3 4 2 1 3 4"]  # 182 classes
+    assert main(w0_d4 + ["--max-words", "182"]) == EXIT_OK
+    assert main(w0_d4 + ["--max-words", "181"]) == EXIT_CAP
+    assert "partial count: 182" in capsys.readouterr().err
