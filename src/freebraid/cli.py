@@ -28,6 +28,7 @@ from .coxeter import (
 )
 from .classes import (
     PRECEDENCES,
+    _too_many,
     class_partition,
     commutation_graph,
     count_classes_and_check_bound,
@@ -47,8 +48,10 @@ from .triples import (
 )
 from .rootseq import root_sequence
 from .typea import (
+    class_counts,
     enumerate_freely_braided,
     format_permutation,
+    inversion_triple_count,
     parse_permutation,
     perm_to_element,
 )
@@ -273,16 +276,15 @@ def cmd_enumerate(args) -> int:
         raise ParseError("rank must be at least 1")
     if args.n > args.limit:
         raise CapExceededError(f"rank {args.n} exceeds the enumeration limit {args.limit}")
-    from itertools import permutations
-
     cap = _cap(args)
     rows = []
     for k in range(1, args.n + 1):
         count, _ = enumerate_freely_braided(k, limit=args.limit)
-        achievers = 0
-        for p in permutations(range(1, k + 1)):
-            if count_classes_and_check_bound(perm_to_element(p), cap).achieves_bound:
-                achievers += 1
+        classes = class_counts(k)
+        if max(classes.values()) > cap:
+            raise _too_many(cap)
+        # On a path every inversion triple is contractible, so N(p) counts them all.
+        achievers = sum(1 for p, c in classes.items() if c == 2 ** inversion_triple_count(p))
         rows.append({"n": k, "freely_braided": count, "bound_achievers": achievers})
     doc = {"type": "A", "rows": rows}
     _emit(doc, args)
@@ -303,7 +305,9 @@ def _add_element_args(p: argparse.ArgumentParser, perm: bool = True) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-words", type=int, default=None,
                    help="cap on commutation classes, and on reduced words where words "
-                        "are listed (--verify); overrides FB_MAX_WORDS")
+                        "are listed (--verify); enumerate counts every permutation's "
+                        "classes without listing them and exits 3 if one has more "
+                        "(w0 of S8 has 1,232,944); overrides FB_MAX_WORDS")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads; results are deterministic regardless "
                         "(the enumerator runs single-threaded per call)")
@@ -339,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="type-A counts: freely braided vs bound achievers")
     p.add_argument("--type", default="A", help="Coxeter family (only A)")
     p.add_argument("-n", type=int, required=True, help="largest rank to tabulate")
-    p.add_argument("--freely-braided", action="store_true",
-                   help="tabulate freely braided counts (the default and only table)")
     p.add_argument("--limit", type=int, default=DEFAULT_ENUM_RANK_LIMIT,
                    help="largest rank the table may request")
     _add_common(p)

@@ -5,7 +5,8 @@ and the simple root a_i is e_i - e_{i+1} in coordinates.  A positive root
 e_i - e_j lies in the inversion set exactly when the one-line notation has
 w(i) > w(j), so inversion triples are decreasing subsequences of length 3,
 and the freely braided elements are exactly the permutations avoiding
-3421, 4231, 4312 and 4321.
+3421, 4231, 4312 and 4321.  class_counts counts the commutation classes of
+every permutation of a rank at once, without building any element.
 
 >>> parse_permutation("4231")
 (4, 2, 3, 1)
@@ -13,6 +14,8 @@ and the freely braided elements are exactly the permutations avoiding
 False
 >>> element_to_perm(parse_graph("A3"), perm_to_element((3, 1, 4, 2)))
 (3, 1, 4, 2)
+>>> class_counts(3)[(3, 2, 1)], inversion_triple_count((3, 2, 1))
+(2, 1)
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ __all__ = [
     "perm_to_element",
     "element_to_perm",
     "inversion_triples_1line",
+    "inversion_triple_count",
     "contains_pattern",
     "is_freely_braided_perm",
     "enumerate_freely_braided",
+    "class_counts",
     "DEFAULT_MAX_ENUM_RANK",
 ]
 
@@ -141,6 +146,21 @@ def inversion_triples_1line(p: Permutation) -> frozenset[InversionTriple]:
     return frozenset(out)
 
 
+def inversion_triple_count(p: Permutation) -> int:
+    """Number of inversion triples, i.e. of decreasing subsequences of length 3.
+
+    Each is counted at its middle entry p[j], as (larger entries before j)
+    times (smaller entries after j).  With s smaller entries before j, those
+    are j - s and p[j] - 1 - s.
+    """
+    _check_perm(p)
+    total = 0
+    for j, v in enumerate(p):
+        s = sum(1 for u in p[:j] if u < v)
+        total += (j - s) * (v - 1 - s)
+    return total
+
+
 def _standardize(vals: tuple[int, ...]) -> tuple[int, ...]:
     order = sorted(vals)
     return tuple(order.index(v) + 1 for v in vals)
@@ -175,3 +195,47 @@ def enumerate_freely_braided(
         raise CapExceededError(f"rank {n} exceeds the enumeration limit {limit}")
     found = [p for p in permutations(range(1, n + 1)) if is_freely_braided_perm(p)]
     return len(found), tuple(found) if members else None
+
+
+def _heap_count(p: Permutation, counts: dict[Permutation, int]) -> int:
+    """Commutation classes of p by inclusion-exclusion over its maximal pieces.
+
+    The maximal pieces of a heap of p are pairwise commuting right descents,
+    and the heaps whose maximal pieces include a set J of such descents are
+    the heaps of p*w_J with J stacked on top (Cartier-Foata).  So the count
+    is the alternating sum of ``counts`` over nonempty sets J of right
+    descents, no two at adjacent positions; every p*w_J is shorter than p.
+    """
+    descents = [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
+    total = 0
+    # (p*w_J, +1 when |J| is even, first position J may still add)
+    stack = [(p, 1, 0)]
+    while stack:
+        q, sign, lowest = stack.pop()
+        for i in descents:
+            if i >= lowest:
+                r = q[:i] + (q[i + 1], q[i]) + q[i + 2:]
+                total += sign * counts[r]
+                stack.append((r, -sign, i + 2))
+    return total
+
+
+def class_counts(n: int) -> dict[Permutation, int]:
+    """Commutation classes of every permutation of rank n (n! entries), keyed
+    by one-line notation, computed level by level up the right weak order
+    from e."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    identity = tuple(range(1, n + 1))
+    counts = {identity: 1}
+    level = [identity]
+    while level:
+        above: dict[Permutation, None] = {}
+        for p in level:
+            for i in range(n - 1):
+                if p[i] < p[i + 1]:
+                    above[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] = None
+        for p in above:
+            counts[p] = _heap_count(p, counts)
+        level = list(above)
+    return counts

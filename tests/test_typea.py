@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import json
 import random
 
 import pytest
@@ -16,12 +17,15 @@ from freebraid import (
     is_freely_braided,
     parse_graph,
 )
+from freebraid.cli import EXIT_CAP, EXIT_OK, main
 from freebraid.typea import (
     FREELY_BRAIDED_OBSTRUCTIONS,
+    class_counts,
     contains_pattern,
     element_to_perm,
     enumerate_freely_braided,
     format_permutation,
+    inversion_triple_count,
     inversion_triples_1line,
     is_freely_braided_perm,
     parse_permutation,
@@ -179,3 +183,39 @@ def test_freely_braided_achieve_bound_s4():
         check = count_classes_and_check_bound(w)
         assert check.bound_holds
         assert check.achieves_bound == is_freely_braided_perm(p)
+
+
+# --- class counts without a class search ---
+
+# Commutation classes of w0 in S_n (Knuth, Axioms and Hulls, 1992; OEIS A006245).
+KNUTH_A006245 = (1, 1, 2, 8, 62, 908, 24_698, 1_232_944)
+
+
+def test_class_counts_match_the_engine_s1_to_s5():
+    for n in range(1, 6):
+        counts = class_counts(n)
+        assert set(counts) == set(all_permutations(n))
+        for p in all_permutations(n):
+            check = count_classes_and_check_bound(perm_to_element(p))
+            assert (counts[p], inversion_triple_count(p)) == (check.classes, check.contractible)
+
+
+def test_class_counts_of_w0_match_a006245():
+    for n, expected in enumerate(KNUTH_A006245, start=1):
+        assert class_counts(n)[tuple(range(n, 0, -1))] == expected
+    with pytest.raises(ValueError):
+        class_counts(0)
+
+
+def test_enumerate_rank_7_columns_agree(capsys):
+    assert main(["enumerate", "-n", "7", "--limit", "7"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    expected = [1, 2, 6, 20, 71, 260, 971]
+    assert [r["freely_braided"] for r in rows] == expected
+    assert [r["bound_achievers"] for r in rows] == expected
+
+
+def test_enumerate_exits_on_the_class_cap(capsys):
+    # w0 of S4 has 8 commutation classes.
+    assert main(["enumerate", "-n", "4", "--max-words", "5"]) == EXIT_CAP
+    assert "more than 5 commutation classes (partial count: 6)" in capsys.readouterr().err
