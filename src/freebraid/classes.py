@@ -118,6 +118,10 @@ class FSignature:
     def weight(self) -> int:
         return sum(b for _, b in self.entries)
 
+    def parity(self) -> int:
+        """+1 or -1 according to the weight."""
+        return -1 if self.weight() % 2 else 1
+
 
 @dataclass(frozen=True)
 class CommutationGraph:
@@ -470,7 +474,7 @@ def parity(
     w: Element, c: CommutationClass, precedence: Precedence = LEX, cap: int | None = None
 ) -> int:
     """+1 or -1 according to the weight of the class signature."""
-    return -1 if f_signature(w, c, precedence, cap).weight() % 2 else 1
+    return f_signature(w, c, precedence, cap).parity()
 
 
 def count_classes_and_check_bound(w: Element, cap: int | None = None) -> BoundCheck:

@@ -40,12 +40,7 @@ from .classes import (
     to_dot,
 )
 from .oracle import oracle_classes_by_bfs, oracle_contractible, oracle_reduced_words
-from .triples import (
-    _disjoint,
-    contractible_triples,
-    inversion_triples,
-    is_contractible,
-)
+from .triples import _disjoint, contractible_triples, inversion_triples
 from .rootseq import root_sequence
 from .typea import (
     class_counts,
@@ -153,14 +148,9 @@ def _verify(w: Element, cap: int) -> None:
             raise VerificationError(
                 f"class size disagrees with BFS oracle for {format_word(c.canonical_word)}"
             )
+    contractible = contractible_triples(w, cap=cap)
     for t in sorted(inversion_triples(w)):
-        votes = {
-            is_contractible(w, t, cap=cap),
-            is_contractible(w, t, method="cover-above", cap=cap),
-            is_contractible(w, t, method="cover-below", cap=cap),
-            oracle_contractible(w, t, cap),
-        }
-        if len(votes) != 1:
+        if (t in contractible) != oracle_contractible(w, t, cap):
             raise VerificationError(f"contractibility verdicts disagree for {t}")
 
 
@@ -180,7 +170,7 @@ def cmd_analyze(args) -> int:
                 "canonical": format_word(c.canonical_word),
                 "size": c.size,
                 "signature_bits": list(sig.vector()),
-                "parity": parity(w, c, precedence, cap),
+                "parity": sig.parity(),
             }
         )
     doc = {
@@ -308,9 +298,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "are listed (--verify); enumerate counts every permutation's "
                         "classes without listing them and exits 3 if one has more "
                         "(w0 of S8 has 1,232,944); overrides FB_MAX_WORDS")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; results are deterministic regardless "
-                        "(the enumerator runs single-threaded per call)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--precedence", choices=tuple(PRECEDENCES), default="lex",
                    help="root order used for signature bits")
@@ -354,8 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ParseError("--threads must be at least 1")
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -112,12 +112,12 @@ def test_acceptance_03_pattern_criterion():
 
 
 def test_acceptance_04_all_s5_triples_contractible():
-    with criterion(4, "every S5 inversion triple is contractible (production + oracle)"):
+    with criterion(4, "every S5 inversion triple is contractible (path rule + engine + oracle)"):
         for w in s5_elements():
             triples = inversion_triples(w)
             assert contractible_triples(w) == triples
-            assert contractible_triples(w, method="cover-above") == triples
-            assert contractible_triples(w, method="cover-below") == triples
+            for c in enumerate_classes(w):
+                assert {t for t, _ in f_signature(w, c).entries} == triples
             for t in triples:
                 assert oracle_contractible(w, t)
 

@@ -105,6 +105,27 @@ def test_analyze_verify_ok(capsys):
     assert doc["verified"] is True
 
 
+GOLDEN_D4 = ("analyze", "-g", "D4", "-w", "2 1 3 4 2 4 3 1 2", "--verify")
+
+
+def test_analyze_verify_non_path_graph(capsys):
+    doc = run_json(capsys, *GOLDEN_D4)
+    assert doc["verified"] is True
+    assert doc["N"] == 3
+    assert doc["class_count"] == 4
+    assert doc["freely_braided"] is False
+    (golden,) = [t for t in doc["triples"] if t["low"] == [0, 1, 0, 0]]
+    assert golden["mid"] == [1, 2, 1, 1]
+    assert golden["contractible"] is False
+
+
+def test_verify_catches_contractibility_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "oracle_contractible", lambda w, t, cap=None: True)
+    code, _, err = run(capsys, *GOLDEN_D4)
+    assert code == EXIT_VERIFY
+    assert "contractibility verdicts disagree" in err
+
+
 def test_analyze_precedence_flag(capsys):
     lex = run_json(capsys, "analyze", "-g", "A2", "-w", "1 2 1")
     rev = run_json(capsys, "analyze", "-g", "A2", "-w", "1 2 1", "--precedence", "revlex")
@@ -235,10 +256,9 @@ def test_bad_env_cap(capsys, monkeypatch):
 
 
 def test_threads_flag_validated(capsys):
-    code, _, err = run(capsys, "analyze", "-g", "A2", "-w", "1", "--threads", "0")
-    assert code == EXIT_PARSE
-    code, _, _ = run(capsys, "analyze", "-g", "A2", "-w", "1", "--threads", "4")
-    assert code == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "-g", "A2", "-w", "1", "--threads", "4"])
+    assert exc.value.code == 2
 
 
 def test_verify_failure_exit(capsys, monkeypatch):

@@ -71,8 +71,7 @@ def test_inversion_triples_outer_roots_sum_to_mid():
 
 def test_golden_triple_not_contractible_any_method():
     w = element_of(D4, GOLDEN_D4_WORD)
-    for method in ("auto", "cover-above", "cover-below"):
-        assert not is_contractible(w, GOLDEN_ALPHA2_TRIPLE, method=method)
+    assert not is_contractible(w, GOLDEN_ALPHA2_TRIPLE)
     assert not oracle_contractible(w, GOLDEN_ALPHA2_TRIPLE)
 
 
@@ -80,8 +79,7 @@ def test_golden_other_triples_contractible():
     w = element_of(D4, GOLDEN_D4_WORD)
     others = inversion_triples(w) - {GOLDEN_ALPHA2_TRIPLE}
     for t in others:
-        for method in ("auto", "cover-above", "cover-below"):
-            assert is_contractible(w, t, method=method)
+        assert is_contractible(w, t)
         assert oracle_contractible(w, t)
 
 
@@ -101,32 +99,20 @@ def test_is_contractible_rejects_bad_input():
         is_contractible(
             element_of(A2, (1,)), InversionTriple((0, 1), (1, 1), (1, 0))
         )
-    with pytest.raises(ValueError):
-        is_contractible(w, next(iter(inversion_triples(w))), method="guess")
 
 
-def test_three_methods_agree_exhaustive_s4():
+def test_production_agrees_with_oracle_exhaustive_s4():
     for length, elems in group_by_length(A3, 6).items():
         for w in elems:
             for t in inversion_triples(w):
-                answers = {
-                    is_contractible(w, t, method=m)
-                    for m in ("auto", "cover-above", "cover-below")
-                }
-                answers.add(oracle_contractible(w, t))
-                assert len(answers) == 1
+                assert is_contractible(w, t) == oracle_contractible(w, t)
 
 
-def test_three_methods_agree_sampled_d4():
+def test_production_agrees_with_oracle_sampled_d4():
     elems = random_elements(D4, 12, 9, seed=4_2_1) + [element_of(D4, GOLDEN_D4_WORD)]
     for w in elems:
         for t in inversion_triples(w):
-            answers = {
-                is_contractible(w, t, method=m)
-                for m in ("auto", "cover-above", "cover-below")
-            }
-            answers.add(oracle_contractible(w, t))
-            assert len(answers) == 1, (w, t)
+            assert is_contractible(w, t) == oracle_contractible(w, t), (w, t)
 
 
 # --- contractible_triples ---
@@ -137,7 +123,6 @@ def test_contractible_triples_examples():
     assert contractible_triples(W0_S4) == inversion_triples(W0_S4)
     w = element_of(D4, GOLDEN_D4_WORD)
     assert contractible_triples(w) == inversion_triples(w) - {GOLDEN_ALPHA2_TRIPLE}
-    assert contractible_triples(w, method="cover-below") == contractible_triples(w)
 
 
 # --- is_freely_braided ---
