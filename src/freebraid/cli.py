@@ -24,6 +24,7 @@ from .coxeter import (
     format_word,
     parse_graph,
     parse_word,
+    reduce_word,
     root_str,
 )
 from .classes import (
@@ -108,8 +109,6 @@ def cmd_reduce(args) -> int:
         raise ParseError("reduce needs --graph and --word")
     word = parse_word(args.word)
     try:
-        from .coxeter import reduce_word
-
         reduced = reduce_word(g, word)
     except ValueError as e:
         raise ParseError(str(e)) from None

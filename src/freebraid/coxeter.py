@@ -4,7 +4,17 @@ Generators are numbered 1..n.  A root is an integer coefficient vector over
 the simple roots, stored as a plain tuple.  All geometry goes through the
 symmetrized Cartan matrix (twice the usual bilinear form), so every pairing
 is an exact integer and two roots are orthogonal exactly when their pairing
-is 0.  Group elements are n x n integer matrices acting on root coordinates.
+is 0.
+
+A group element w is stored as its column images: the roots w(a_s), one per
+generator s, which together are its matrix on root coordinates (as in
+Casselman, Machine calculations in Weyl groups, 1994).  Every word
+operation is a right multiplication by one generator, and w*s differs from w
+in the columns of s and its neighbours only (``_step``), so one letter costs
+O(n * deg(s)) integer additions.  Lengths come from the descent test
+l(ws) > l(w) exactly when w(a_s) is a positive root (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, 4.4).  ``reflection_matrix`` and
+``mat_mul`` stay as the definitions that tests compare against.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, neg
 
 __all__ = [
     "Word",
@@ -186,6 +197,11 @@ def _check_letter(g: CoxeterGraph, s: int) -> None:
         raise ValueError(f"generator {s} out of range 1..{g.n}")
 
 
+def _check_word(g: CoxeterGraph, word: Word) -> None:
+    for s in word:
+        _check_letter(g, s)
+
+
 def simple_root(g: CoxeterGraph, s: int) -> Root:
     _check_letter(g, s)
     return tuple(1 if i == s - 1 else 0 for i in range(g.n))
@@ -230,15 +246,15 @@ def reflect(g: CoxeterGraph, s: int, r: Root) -> Root:
 
 def act(g: CoxeterGraph, word: Word, r: Root) -> Root:
     """Apply the product of the word's letters to r, rightmost letter first."""
-    for s in word:
-        _check_letter(g, s)
+    _check_word(g, word)
     for s in reversed(word):
         r = reflect(g, s, r)
     return r
 
 
 @lru_cache(maxsize=None)
-def _identity_matrix(n: int) -> Matrix:
+def _identity(n: int) -> Matrix:
+    """The identity matrix, which is also the columns a_1, ..., a_n of e."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -262,39 +278,70 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class Element:
-    """A group element: its matrix on root coordinates plus its length.
+    """A group element: its column images plus its length.
 
-    The matrix alone determines the element; ``length`` is derived data and
+    ``columns[s - 1]`` is w(a_s), the image of the simple root of s, so the
+    columns are the matrix of w on root coordinates read column by column.
+    They alone determine the element; ``length`` is derived data and
     excluded from equality and hashing.
     """
 
     graph: CoxeterGraph
-    matrix: Matrix
+    columns: tuple[Root, ...]
     length: int = field(compare=False)
 
 
+def _step(g: CoxeterGraph, cols: list[Root], s: int) -> bool:
+    """Replace the columns of w by those of w*s; True iff s was an ascent of w.
+
+    w*s sends a_s to -w(a_s) and each neighbour a_t of s to w(a_t) + w(a_s),
+    and leaves the other columns alone.  The length goes up exactly when
+    w(a_s) is positive.
+    """
+    c = cols[s - 1]
+    for t in g.neighbors[s - 1]:
+        cols[t - 1] = tuple(map(add, cols[t - 1], c))
+    cols[s - 1] = tuple(map(neg, c))
+    return max(c) > 0
+
+
+def _least_descent(cols: list[Root]) -> int:
+    for s, c in enumerate(cols, 1):
+        if max(c) <= 0:
+            return s
+    raise ValueError("columns are not those of a Coxeter group element")
+
+
 def identity_element(g: CoxeterGraph) -> Element:
-    return Element(g, _identity_matrix(g.n), 0)
+    return Element(g, _identity(g.n), 0)
 
 
 def element_of(g: CoxeterGraph, word: Word) -> Element:
-    """Evaluate a (not necessarily reduced) word to an Element."""
-    m = _identity_matrix(g.n)
+    """Evaluate a (not necessarily reduced) word to an Element.
+
+    One column step per letter; the length is the number of ascents minus
+    the number of descents met on the way.
+    """
+    _check_word(g, word)
+    cols = list(_identity(g.n))
+    length = 0
     for s in word:
-        m = mat_mul(m, reflection_matrix(g, s))
-    return Element(g, m, len(reduce_word(g, word)))
+        length += 1 if _step(g, cols, s) else -1
+    return Element(g, tuple(cols), length)
 
 
 def is_right_descent(w: Element, s: int) -> bool:
     """True iff w sends the simple root of s to a negative root."""
     _check_letter(w.graph, s)
-    return all(row[s - 1] <= 0 for row in w.matrix)
+    return max(w.columns[s - 1]) <= 0
 
 
 def times_generator(w: Element, s: int) -> Element:
     """Right-multiply by one generator, tracking length exactly."""
-    delta = -1 if is_right_descent(w, s) else 1
-    return Element(w.graph, mat_mul(w.matrix, reflection_matrix(w.graph, s)), w.length + delta)
+    _check_letter(w.graph, s)
+    cols = list(w.columns)
+    up = _step(w.graph, cols, s)
+    return Element(w.graph, tuple(cols), w.length + (1 if up else -1))
 
 
 def canonical_word(w: Element) -> Word:
@@ -302,62 +349,60 @@ def canonical_word(w: Element) -> Word:
 
     Greedy: the valid first letters of reduced words are exactly the left
     descents, so taking the smallest one at each step minimizes the word.
-    Left descents of w are right descents of its inverse, which is tracked
-    as a matrix and shrunk one letter at a time.
+    Left descents of w are right descents of its inverse.  Peeling right
+    descents off w down to e builds the inverse alongside; peeling least
+    right descents off the inverse then spells the word.  Cost: 3L column
+    steps and L descent scans of O(n^2) each, for length L and rank n.
     """
     g = w.graph
-    ident = _identity_matrix(g.n)
-    m = w.matrix
-    rev: list[int] = []
-    while m != ident:
-        for s in g.generators():
-            if all(row[s - 1] <= 0 for row in m):
-                rev.append(s)
-                m = mat_mul(m, reflection_matrix(g, s))
-                break
-        else:
-            raise ValueError("matrix is not a Coxeter group element")
-    m_inv = ident
-    for s in rev:
-        m_inv = mat_mul(m_inv, reflection_matrix(g, s))
-    inv = Element(g, m_inv, len(rev))
+    cols = list(w.columns)
+    inv = list(_identity(g.n))
+    for _ in range(w.length):
+        s = _least_descent(cols)
+        _step(g, cols, s)
+        _step(g, inv, s)
     out: list[int] = []
-    while inv.length:
-        for s in g.generators():
-            if is_right_descent(inv, s):
-                out.append(s)
-                inv = times_generator(inv, s)
-                break
+    for _ in range(w.length):
+        s = _least_descent(inv)
+        _step(g, inv, s)
+        out.append(s)
     return tuple(out)
 
 
 def reduce_word(g: CoxeterGraph, word: Word) -> Word:
     """Reduced word for the same element, via the exchange condition.
 
-    Letters are folded in left to right over a reduced prefix.  When the next
-    letter is a descent the exchange condition names the letters eligible for
-    deletion; the leftmost one goes (for a reduced prefix it is unique).
+    Letters are folded in left to right over a reduced prefix u, kept as
+    its columns.  A letter s with u(a_s) positive is appended.  Otherwise
+    the exchange condition names the letter to delete: walking back from the
+    end, the first position i at which the letters after i map a_s to the
+    simple root of letter i (for a reduced prefix it is unique).  Either
+    way the prefix's element becomes u*s, one column step.  Cost:
+    O(n * deg) per letter, plus O(L * n) for each deletion's walk back
+    over a prefix of length L.
     """
-    for s in word:
-        _check_letter(g, s)
+    _check_word(g, word)
+    cols = list(_identity(g.n))
     prefix: list[int] = []
     for s in word:
-        image = act(g, tuple(prefix), simple_root(g, s))
-        if is_positive_root(image):
+        if _step(g, cols, s):
             prefix.append(s)
             continue
         u = simple_root(g, s)
-        candidates = []
         for i in range(len(prefix) - 1, -1, -1):
             if u == simple_root(g, prefix[i]):
-                candidates.append(i)
+                break
             u = reflect(g, prefix[i], u)
-        del prefix[min(candidates)]
+        del prefix[i]
     return tuple(prefix)
 
 
 def is_reduced(g: CoxeterGraph, word: Word) -> bool:
-    return len(word) == len(reduce_word(g, word))
+    """True iff every letter is an ascent of the prefix before it; stops at
+    the first descent."""
+    _check_word(g, word)
+    cols = list(_identity(g.n))
+    return all(_step(g, cols, s) for s in word)
 
 
 def is_path_forest(g: CoxeterGraph) -> bool:

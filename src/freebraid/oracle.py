@@ -1,11 +1,13 @@
 """Naive reference implementations for differential testing.
 
 Everything here is deliberately brute force and kept independent of the
-production algorithms: reduced words come from descent recursion instead of
-braid-move closure, commutation classes from literal breadth-first closure
-under adjacent orthogonal swaps instead of heap-order keying, and
-contractibility from scanning every root sequence for a consecutive
-occurrence.  Tests and the CLI --verify mode diff these against production.
+production algorithms: reduced words come from descent recursion on full
+matrices (``mat_mul`` by ``reflection_matrix``) instead of column steps and
+the class engine, root sequences from their definition with ``act``,
+commutation classes from literal breadth-first closure under adjacent
+orthogonal swaps instead of heap-order keying, and contractibility from
+scanning every root sequence for a consecutive occurrence.  Tests and the
+CLI --verify mode diff these against production.
 """
 
 from __future__ import annotations
@@ -15,16 +17,21 @@ from collections import deque
 from .coxeter import (
     CapExceededError,
     DEFAULT_SEQUENCE_CAP,
+    CoxeterGraph,
     Element,
+    Matrix,
     Root,
     Word,
-    is_right_descent,
+    act,
+    mat_mul,
     pairing,
-    times_generator,
+    reflection_matrix,
+    simple_root,
 )
-from .rootseq import RootSequence, root_sequence
+from .rootseq import RootSequence
 
 __all__ = [
+    "oracle_root_sequence",
     "oracle_reduced_words",
     "oracle_all_root_sequences",
     "oracle_classes_by_bfs",
@@ -32,30 +39,47 @@ __all__ = [
 ]
 
 
+def oracle_root_sequence(g: CoxeterGraph, word: Word) -> RootSequence:
+    """Entries by definition: entry i is the root that the i-long suffix
+    turns negative, i.e. the suffix's other letters, last one outermost,
+    applied to the simple root of its first letter."""
+    n = len(word)
+    return RootSequence(g, tuple(
+        act(g, tuple(reversed(word[n - i + 1:])), simple_root(g, word[n - i]))
+        for i in range(1, n + 1)
+    ))
+
+
 def oracle_reduced_words(w: Element, cap: int | None = None) -> list[Word]:
-    """Every reduced word of w, by depth-first descent recursion."""
+    """Every reduced word of w, by depth-first descent recursion on w's matrix.
+
+    s is a right descent of a matrix m when column s is a negative root;
+    the recursion multiplies by the reflection matrix of s until it reaches
+    the identity.
+    """
     limit = cap if cap is not None else DEFAULT_SEQUENCE_CAP
     g = w.graph
+    identity = tuple(tuple(int(i == j) for j in range(g.n)) for i in range(g.n))
     out: list[Word] = []
 
-    def descend(v: Element, tail: list[int]) -> None:
-        if v.length == 0:
+    def descend(m: Matrix, tail: list[int]) -> None:
+        if m == identity:
             out.append(tuple(reversed(tail)))
             if len(out) > limit:
                 raise CapExceededError(f"more than {limit} reduced words", count=len(out))
             return
         for s in g.generators():
-            if is_right_descent(v, s):
+            if all(row[s - 1] <= 0 for row in m):
                 tail.append(s)
-                descend(times_generator(v, s), tail)
+                descend(mat_mul(m, reflection_matrix(g, s)), tail)
                 tail.pop()
 
-    descend(w, [])
+    descend(tuple(zip(*w.columns)), [])
     return out
 
 
 def oracle_all_root_sequences(w: Element, cap: int | None = None) -> list[RootSequence]:
-    return [root_sequence(w.graph, word) for word in oracle_reduced_words(w, cap)]
+    return [oracle_root_sequence(w.graph, word) for word in oracle_reduced_words(w, cap)]
 
 
 def oracle_classes_by_bfs(w: Element, cap: int | None = None) -> list[frozenset[tuple[Root, ...]]]:

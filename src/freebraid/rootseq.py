@@ -18,11 +18,11 @@ from .coxeter import (
     Element,
     Root,
     Word,
+    _check_word,
+    _identity,
+    _step,
     canonical_word,
-    is_reduced,
     pairing,
-    reflect,
-    simple_root,
 )
 
 __all__ = [
@@ -72,16 +72,21 @@ class HeapOrder:
 
 
 def root_sequence(g: CoxeterGraph, word: Word) -> RootSequence:
-    """Root sequence of a reduced word; entry i comes from the i-long suffix."""
-    if not is_reduced(g, word):
-        raise ValueError("root sequences are defined only for reduced words")
-    n = len(word)
+    """Root sequence of a reduced word; entry i comes from the i-long suffix.
+
+    Entry i is v(a_s), where s is the i-th letter from the right and v is
+    the product of the i - 1 letters after it, last letter first.  One pass
+    over the reversed word keeps v as its columns, reads entry i off column
+    s and steps v to v*s: O(L * n * deg) for L letters.  The word is reduced
+    exactly when every such step is an ascent, i.e. every entry is positive.
+    """
+    _check_word(g, word)
+    cols = list(_identity(g.n))
     roots = []
-    for i in range(1, n + 1):
-        v = simple_root(g, word[n - i])
-        for j in range(n - i + 1, n):
-            v = reflect(g, word[j], v)
-        roots.append(v)
+    for s in reversed(word):
+        roots.append(cols[s - 1])
+        if not _step(g, cols, s):
+            raise ValueError("root sequences are defined only for reduced words")
     return RootSequence(g, tuple(roots))
 
 
@@ -90,33 +95,24 @@ def inversion_set(w: Element) -> frozenset[Root]:
     return frozenset(root_sequence(w.graph, canonical_word(w)).roots)
 
 
-def _simple_index(r: Root) -> int | None:
-    idx = None
-    for i, c in enumerate(r):
-        if c == 0:
-            continue
-        if c != 1 or idx is not None:
-            return None
-        idx = i + 1
-    return idx
-
-
 def word_of_root_sequence(r: RootSequence) -> Word:
-    """Invert root_sequence.
+    """Invert root_sequence by running its loop with the letters unknown.
 
-    Entry 1 names the last letter; reflecting the remaining entries by it
-    peels the sequence down to the next-shorter word.  The reconstruction is
-    verified by a full roundtrip so any invalid input is rejected.
+    Entry i is v(a_s) for the element v built from the letters found so
+    far, so s is the generator whose column of v equals entry i; v then
+    steps to v*s.  The reconstruction is verified by a full roundtrip so
+    any invalid input is rejected.
     """
     g = r.graph
-    seq = list(r.roots)
+    cols = list(_identity(g.n))
     rev: list[int] = []
-    while seq:
-        s = _simple_index(seq[0])
-        if s is None or s > g.n:
-            raise ValueError("not a valid root sequence: entry fails to un-twist to a simple root")
+    for root in r.roots:
+        try:
+            s = cols.index(root) + 1
+        except ValueError:
+            raise ValueError("not a valid root sequence: an entry is no image of a simple root") from None
+        _step(g, cols, s)
         rev.append(s)
-        seq = [reflect(g, s, x) for x in seq[1:]]
     word = tuple(reversed(rev))
     try:
         back = root_sequence(g, word)

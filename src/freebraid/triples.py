@@ -36,25 +36,29 @@ class InversionTriple(NamedTuple):
     high: Root
 
 
-def _vec_add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def inversion_triples(w: Element) -> frozenset[InversionTriple]:
+    """Every triple {low, low + high, high} inside the inversion set of w.
+
+    Sums are tested on packed integers: root c is packed as the sum of
+    c_i * 2^(k*i), with k one bit wider than the largest coefficient, so
+    adding two packed roots never carries and gives the packed sum.
+    """
     phi = sorted(inversion_set(w))
-    phi_set = set(phi)
+    k = max((max(r) for r in phi), default=0).bit_length() + 1
+    packed = [sum(c << (k * i) for i, c in enumerate(r)) for r in phi]
+    root_of = dict(zip(packed, phi))
     out = set()
-    for i in range(len(phi)):
-        for j in range(i + 1, len(phi)):
-            mid = _vec_add(phi[i], phi[j])
-            if mid in phi_set:
+    for i, a in enumerate(packed):
+        for j in range(i + 1, len(packed)):
+            mid = root_of.get(a + packed[j])
+            if mid is not None:
                 out.add(InversionTriple(phi[i], mid, phi[j]))
     return frozenset(out)
 
 
 def _validated(w: Element, t: InversionTriple) -> InversionTriple:
     low, high = (t.low, t.high) if t.low <= t.high else (t.high, t.low)
-    if _vec_add(low, high) != t.mid:
+    if tuple(x + y for x, y in zip(low, high)) != t.mid:
         raise ValueError("not an inversion triple: outer roots do not sum to the middle one")
     if not {low, t.mid, high} <= inversion_set(w):
         raise ValueError("not an inversion triple of this element")

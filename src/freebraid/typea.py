@@ -20,7 +20,7 @@ False
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .coxeter import (
     CapExceededError,
@@ -175,25 +175,41 @@ def contains_pattern(p: Permutation, q: Permutation) -> bool:
     return any(_standardize(sub) == q for sub in combinations(p, len(q)))
 
 
+def _obstruction_ends_at(p: Permutation, last: int) -> bool:
+    """Does an obstruction occur in p with p[last] as its last entry?
+
+    Compared by value, with a, b, c, d in order and d = p[last]: 3421, 4231
+    and 4321 are exactly the a > c > d < b, and 4312 is a > b > d > c.
+    """
+    d = p[last]
+    return any(a > c > d < b or a > b > d > c for a, b, c in combinations(p[:last], 3))
+
+
 def is_freely_braided_perm(p: Permutation) -> bool:
     """Pattern criterion: avoid 3421, 4231, 4312 and 4321."""
     _check_perm(p)
-    bad = set(FREELY_BRAIDED_OBSTRUCTIONS)
-    for sub in combinations(p, 4):
-        if _standardize(sub) in bad:
-            return False
-    return True
+    return not any(_obstruction_ends_at(p, last) for last in range(3, len(p)))
 
 
 def enumerate_freely_braided(
     n: int, members: bool = False, limit: int = DEFAULT_MAX_ENUM_RANK
 ) -> tuple[int, tuple[Permutation, ...] | None]:
-    """Count (and optionally list) freely braided permutations of rank n."""
+    """Count (and optionally list, in lexicographic order) freely braided
+    permutations of rank n.
+
+    Rank by rank: a permutation of rank k is an avoider of rank k - 1 with a
+    last value v appended (the entries >= v shifted up), and it avoids the
+    obstructions exactly when none of them ends at that last entry.
+    """
     if n < 1:
         raise ValueError("rank must be at least 1")
     if n > limit:
         raise CapExceededError(f"rank {n} exceeds the enumeration limit {limit}")
-    found = [p for p in permutations(range(1, n + 1)) if is_freely_braided_perm(p)]
+    level: list[Permutation] = [(1,)]
+    for k in range(2, n + 1):
+        extended = (tuple(x + (x >= v) for x in q) + (v,) for q in level for v in range(1, k + 1))
+        level = [p for p in extended if not _obstruction_ends_at(p, k - 1)]
+    found = sorted(level)
     return len(found), tuple(found) if members else None
 
 

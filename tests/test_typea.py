@@ -156,6 +156,18 @@ def test_pattern_criterion_matches_generic_s4():
         assert by_patterns == expected
 
 
+def _avoids_by_brute_force(p):
+    return len(p) < 4 or not any(contains_pattern(p, q) for q in FREELY_BRAIDED_OBSTRUCTIONS)
+
+
+def test_pattern_test_matches_brute_force_s1_to_s7():
+    for n in range(1, 8):
+        perms = all_permutations(n)
+        expected = tuple(p for p in perms if _avoids_by_brute_force(p))
+        assert tuple(p for p in perms if is_freely_braided_perm(p)) == expected
+        assert enumerate_freely_braided(n, members=True) == (len(expected), expected)
+
+
 # --- enumeration ---
 
 

@@ -1,0 +1,142 @@
+"""The column-step word calculus against definitions and the literature.
+
+element_of, reduce_word, root_sequence, word_of_root_sequence and
+canonical_word all step column images one generator at a time.  Here they
+are checked against full matrix products, root sequences built from their
+definition with act, the oracle's descent recursion on matrices, and counts
+of positive roots and A2 subsystems from the literature.
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freebraid import (
+    canonical_word,
+    element_of,
+    inversion_triples,
+    is_positive_root,
+    is_reduced,
+    is_right_descent,
+    parse_graph,
+    reduce_word,
+    root_sequence,
+    word_of_root_sequence,
+)
+from freebraid.coxeter import mat_mul, reflection_matrix
+from freebraid.oracle import oracle_reduced_words, oracle_root_sequence
+
+# Finite, affine (the triangle is A~2), cyclic and disconnected graphs.
+GRAPHS = tuple(
+    parse_graph(spec)
+    for spec in ("A4", "D5", "E6", "E8", "1-2,2-3,1-3", "1-2,2-3,3-4,1-4", "1-2,2-3,4-5")
+)
+
+
+def _identity(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def matrix_product(g, word):
+    m = _identity(g.n)
+    for s in word:
+        m = mat_mul(m, reflection_matrix(g, s))
+    return m
+
+
+def matrix_length(g, m) -> int:
+    """Length of the element with matrix m: peel right descents (columns that
+    are negative roots) by full matrix products until the identity."""
+    length = 0
+    while m != _identity(g.n):
+        s = next(s for s in g.generators() if all(row[s - 1] <= 0 for row in m))
+        m = mat_mul(m, reflection_matrix(g, s))
+        length += 1
+    return length
+
+
+words = st.sampled_from(GRAPHS).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(st.integers(1, g.n), max_size=16).map(tuple))
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(words)
+def test_word_calculus_matches_definitions(case):
+    g, word = case
+    w = element_of(g, word)
+    m = matrix_product(g, word)
+    assert w.columns == tuple(zip(*m))
+    assert w.length == len(reduce_word(g, word)) == matrix_length(g, m)
+
+    by_definition = oracle_root_sequence(g, word)
+    reduced = w.length == len(word)
+    assert reduced == all(is_positive_root(r) for r in by_definition.roots)
+    assert is_reduced(g, word) == reduced
+    if reduced:
+        assert root_sequence(g, word) == by_definition
+        assert word_of_root_sequence(by_definition) == word
+    else:
+        with pytest.raises(ValueError):
+            root_sequence(g, word)
+
+    shorter = reduce_word(g, word)
+    assert element_of(g, shorter) == w
+    assert word_of_root_sequence(root_sequence(g, shorter)) == shorter
+    if w.length <= 8:
+        assert canonical_word(w) == min(oracle_reduced_words(w))
+
+
+# --- w0 against the literature ---
+
+# Coxeter numbers h (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates).
+COXETER_NUMBER = {"D4": 6, "D5": 8, "D6": 10, "E6": 12, "E7": 18, "E8": 30}
+COXETER_NUMBER.update({f"A{k}": k + 1 for k in range(2, 7)})
+
+
+def bipartite_w0_word(g, h: int) -> tuple[int, ...]:
+    """w0 as a reduced word from a bipartite Coxeter element c = c+ c-.
+
+    With the nodes of the tree 2-coloured, the word (c+ c-)^(h/2), or
+    (c+ c-)^((h-1)/2) c+ for odd h, is reduced and equals w0
+    (Bourbaki, ch. V, 6, ex. 2).  Its length is nh/2 = |Phi+|.
+    """
+    colour = {1: 0}
+    stack = [1]
+    while stack:
+        s = stack.pop()
+        for t in g.neighbors[s - 1]:
+            if t not in colour:
+                colour[t] = 1 - colour[s]
+                stack.append(t)
+    c_plus = tuple(s for s in g.generators() if colour[s] == 0)
+    c_minus = tuple(s for s in g.generators() if colour[s] == 1)
+    return (c_plus + c_minus) * (h // 2) + (c_plus if h % 2 else ())
+
+
+# |Phi+|: n(n+1)/2 for A_n, n(n-1) for D_n, 36, 63, 120 for E6-E8.
+# Inversion triples of w0 are the A2 subsystems: C(n+1, 3) for A_n,
+# 4 C(n, 3) for D_n, and 120, 336, 1120 for E6-E8.
+LITERATURE = {
+    **{f"A{k}": (comb(k + 1, 2), comb(k + 1, 3)) for k in range(2, 7)},
+    **{f"D{k}": (k * (k - 1), 4 * comb(k, 3)) for k in (4, 5, 6)},
+    "E6": (36, 120),
+    "E7": (63, 336),
+    "E8": (120, 1120),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERATURE))
+def test_w0_roots_and_triples_match_literature(name):
+    g = parse_graph(name)
+    positive_roots, a2_subsystems = LITERATURE[name]
+    word = bipartite_w0_word(g, COXETER_NUMBER[name])
+    assert len(word) == positive_roots
+    w0 = element_of(g, word)
+    assert w0.length == positive_roots
+    assert all(is_right_descent(w0, s) for s in g.generators())
+    assert len(inversion_triples(w0)) == a2_subsystems
