@@ -7,14 +7,24 @@ whose letter is equal or adjacent to its own, and the words of the class are
 exactly the linear extensions of the heap.
 
 Classes are found by a breadth-first search whose states are classes, not
-words.  A class is keyed by its lex-least word, read off the heap by taking
-the smallest letter among the minimal pieces again and again.  Each piece
-carries the index of its root in the root sequence of canonical_word(w).
-Long braid moves are the edges: two consecutive s-pieces p < r admit one
-exactly when the open heap interval (p, r) is a single piece q.  The move
-writes the word as U + (p q r) + D, with U the pieces not above p, replaces
-s t s by t s t and reverses the root indices of the three pieces.  The move
-labels {root(p), root(q), root(r)} are exactly the contractible triples.
+words.  A class is held as its lex-least word (its heap's first linear
+extension), each piece carrying the index of its root in the root sequence
+of canonical_word(w).  Long braid moves are the edges: two consecutive
+s-pieces p < r admit one exactly when the open heap interval (p, r) is a
+single piece q.  The move writes the word as U + (p q r) + D, with U the
+pieces not above p, replaces s t s by t s t and reverses the root indices
+of the three pieces.  The move labels {root(p), root(q), root(r)} are
+exactly the contractible triples.
+
+The search keys a class by the XOR of one bit per move label on a path to
+it from the start class, and braids out a class's word only when its key is
+new.  The key is sound.  A class is fixed by the order of each of its
+non-orthogonal pairs of roots (its heap order), and such a pair lies in at
+most one inversion triple.  A short move reorders no such pair; a long move
+reverses exactly the three pairs of its own triple, contractible by
+definition.  So pairs outside contractible triples keep one order in every
+class, and the key is the class's orientation of the contractible triples
+XOR the start class's: it is path-independent, and equal keys mean one class.
 
 A class's size is the number of linear extensions of its heap, counted by a
 DP over its down-sets.  Reduced words are listed, as linear extensions of
@@ -186,23 +196,6 @@ def _addable(down: int, below: dict[int, int], chains: tuple[int, ...]) -> Itera
                 yield bit
 
 
-def _lex_least(
-    word: list[int], idx: list[int], closed: list[int]
-) -> tuple[Word, tuple[int, ...]]:
-    """Lex-least linear extension of the heap of `word`, carrying root indices:
-    the smallest letter among the minimal pieces, again and again."""
-    below, chains = _heap(word, closed)
-    down = 0
-    out_word, out_idx = [], []
-    for _ in word:
-        bit = next(_addable(down, below, chains))
-        down |= bit
-        p = bit.bit_length() - 1
-        out_word.append(word[p])
-        out_idx.append(idx[p])
-    return tuple(out_word), tuple(out_idx)
-
-
 def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]:
     """Word positions (p, q, r) of every long braid move on the class heap.
 
@@ -230,7 +223,7 @@ def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]
 def _braid(
     word: Word, idx: tuple[int, ...], p: int, q: int, r: int, closed: list[int]
 ) -> tuple[Word, tuple[int, ...]]:
-    """The class one long braid move away: U + (p q r) + D with sts -> tst."""
+    """The class one long braid move away, as its lex-least word and indices."""
     low = list(range(p))
     high = []
     above = closed[word[p]]
@@ -245,7 +238,7 @@ def _braid(
     s, t = word[p], word[q]
     new_word = [word[k] for k in low] + [t, s, t] + [word[k] for k in high]
     new_idx = [idx[k] for k in low] + [idx[r], idx[q], idx[p]] + [idx[k] for k in high]
-    return _lex_least(new_word, new_idx, closed)
+    return next(_linear_extensions(new_word, new_idx, closed))
 
 
 def _cap(cap: int | None) -> int:
@@ -318,7 +311,9 @@ class _Engine:
     (lex-least word, root indices) sorted by word, where ``idx[p]`` indexes
     into ``base`` the root carried by the piece at word position p.
     ``edges`` joins classes one long braid move apart and ``labels`` holds
-    the sorted move labels, i.e. the contractible triples.
+    the sorted move labels, i.e. the contractible triples.  The search keys a
+    class by its orientation of the contractible triples relative to the
+    start class, a neighbour's key being ``key ^ bits[label]``.
     """
 
     __slots__ = ("base", "roots", "closed", "classes", "edges", "labels", "_sizes", "_widest")
@@ -330,39 +325,29 @@ class _Engine:
         closed = _closed_neighborhoods(g)
         start = canonical_word(w)
         base = root_sequence(g, start).roots
-        words = [start]
-        idxs = [tuple(range(len(start) - 1, -1, -1))]
-        found = {start: 0}
+        found = {0: 0}
+        queue = [(start, tuple(range(len(start) - 1, -1, -1)), 0)]
+        bits: dict[tuple[int, int, int], int] = {}
         pairs: set[tuple[int, int]] = set()
-        moved: set[tuple[int, int, int]] = set()
-        i = 0
-        while i < len(words):
-            word, idx = words[i], idxs[i]
+        for i, (word, idx, key) in enumerate(queue):
             for p, q, r in _long_moves(word, closed):
                 a, b = sorted((idx[p], idx[r]), key=base.__getitem__)
-                moved.add((a, idx[q], b))
-                nw, ni = _braid(word, idx, p, q, r, closed)
-                j = found.get(nw)
+                next_key = key ^ bits.setdefault((a, idx[q], b), 1 << len(bits))
+                j = found.get(next_key)
                 if j is None:
-                    j = found[nw] = len(words)
+                    j = found[next_key] = len(queue)
                     if j >= cap:
                         raise _too_many(cap)
-                    words.append(nw)
-                    idxs.append(ni)
+                    queue.append((*_braid(word, idx, p, q, r, closed), next_key))
                 pairs.add((i, j) if i < j else (j, i))
-            i += 1
-        order = sorted(range(len(words)), key=words.__getitem__)
-        rank = [0] * len(order)
-        for k, old in enumerate(order):
-            rank[old] = k
+        order = sorted(range(len(queue)), key=queue.__getitem__)
+        rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
         self.base = base
         self.roots = frozenset(base)
         self.closed = closed
-        self.classes = [(words[k], idxs[k]) for k in order]
-        self.edges = frozenset(
-            (min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs
-        )
-        self.labels = tuple(sorted(InversionTriple(base[a], base[m], base[b]) for a, m, b in moved))
+        self.classes = [queue[k][:2] for k in order]
+        self.edges = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs)
+        self.labels = tuple(sorted(InversionTriple(base[a], base[m], base[b]) for a, m, b in bits))
         self._sizes: list[int] | None = None
         self._widest = 0
 

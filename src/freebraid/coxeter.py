@@ -344,6 +344,23 @@ def times_generator(w: Element, s: int) -> Element:
     return Element(w.graph, tuple(cols), w.length + (1 if up else -1))
 
 
+def _peel(w: Element) -> tuple[list[Root], list[Root]]:
+    """Peel least right descents s_1, s_2, ... off w down to e in 2L column
+    steps.  Returns the columns of w^-1, built alongside, and the root
+    sequence of the word (..., s_2, s_1): entry i is column s_i of the
+    running inverse s_1 ... s_(i-1), as root_sequence computes it."""
+    g = w.graph
+    cols = list(w.columns)
+    inv = list(_identity(g.n))
+    roots = []
+    for _ in range(w.length):
+        s = _least_descent(cols)
+        roots.append(inv[s - 1])
+        _step(g, cols, s)
+        _step(g, inv, s)
+    return inv, roots
+
+
 def canonical_word(w: Element) -> Word:
     """The lexicographically least reduced word for w.
 
@@ -355,12 +372,7 @@ def canonical_word(w: Element) -> Word:
     steps and L descent scans of O(n^2) each, for length L and rank n.
     """
     g = w.graph
-    cols = list(w.columns)
-    inv = list(_identity(g.n))
-    for _ in range(w.length):
-        s = _least_descent(cols)
-        _step(g, cols, s)
-        _step(g, inv, s)
+    inv, _ = _peel(w)
     out: list[int] = []
     for _ in range(w.length):
         s = _least_descent(inv)

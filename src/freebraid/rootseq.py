@@ -20,8 +20,8 @@ from .coxeter import (
     Word,
     _check_word,
     _identity,
+    _peel,
     _step,
-    canonical_word,
     pairing,
 )
 
@@ -91,8 +91,9 @@ def root_sequence(g: CoxeterGraph, word: Word) -> RootSequence:
 
 
 def inversion_set(w: Element) -> frozenset[Root]:
-    """Positive roots sent negative by w; its size equals the length of w."""
-    return frozenset(root_sequence(w.graph, canonical_word(w)).roots)
+    """Positive roots sent negative by w: the root sequence of the reduced
+    word that one right-descent peel of w reads off (2L column steps)."""
+    return frozenset(_peel(w)[1])
 
 
 def word_of_root_sequence(r: RootSequence) -> Word:

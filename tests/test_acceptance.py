@@ -237,3 +237,15 @@ def test_acceptance_11_exploratory_bound_achievers():
             )
         if not counterexamples:
             print("  no counterexamples: every sampled achiever was freely braided")
+
+
+def test_acceptance_11_bound_achievers_are_freely_braided_on_all_of_d4():
+    with criterion(11, "exhaustive on D4: achieves the bound iff freely braided"):
+        elements = [w for group in group_by_length(D4, 12).values() for w in group]
+        assert len(elements) == 192
+        braided = 0
+        for w in elements:
+            freely_braided = is_freely_braided(w)
+            assert count_classes_and_check_bound(w).achieves_bound == freely_braided
+            braided += freely_braided
+        assert braided == 81

@@ -38,6 +38,7 @@ from freebraid.cli import EXIT_CAP, EXIT_OK, main
 from freebraid.classes import _closed_neighborhoods, _linear_extension_count
 from freebraid.oracle import oracle_classes_by_bfs, oracle_contractible
 from freebraid.typea import perm_to_element
+from conftest import group_by_length
 
 # Commutation classes of w0 in S_n (Knuth, Axioms and Hulls, 1992; OEIS A006245).
 KNUTH_W0_CLASSES = {5: 62, 6: 908, 7: 24_698}
@@ -59,6 +60,54 @@ def test_w0_classes_and_sizes_match_the_literature(n):
     classes = enumerate_classes(perm_to_element(tuple(range(n, 0, -1))))
     assert len(classes) == KNUTH_W0_CLASSES[n]
     assert sum(c.size for c in classes) == STANLEY_W0_WORDS[n]
+
+
+def test_the_engine_braids_once_per_class(monkeypatch):
+    """A class's word is built only when its key is new: 907 braid moves for
+    the 908 classes of w0(A5), not one per edge of the search (4,288)."""
+    calls = 0
+    braid = freebraid.classes._braid
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return braid(*args)
+
+    monkeypatch.setattr(freebraid.classes, "_braid", counted)
+    monkeypatch.setattr(freebraid.classes, "_ENGINES", {})
+    assert len(enumerate_classes(perm_to_element((6, 5, 4, 3, 2, 1)))) == 908
+    assert calls == 907
+
+
+def catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+# Fully commutative elements, those with a single commutation class
+# (Stembridge, The enumeration of fully commutative elements of Coxeter
+# groups, 1998): Catalan(n+1) in A_n and (n+3)/2 * Catalan(n) - 1 in D_n.
+STEMBRIDGE_FULLY_COMMUTATIVE = {"A3": 14, "A4": 42, "D4": 48, "D5": 167}
+
+
+def test_stembridge_table_matches_closed_forms():
+    closed_forms = {
+        **{f"A{n}": catalan(n + 1) for n in (3, 4)},
+        **{f"D{n}": (n + 3) * catalan(n) // 2 - 1 for n in (4, 5)},
+    }
+    assert closed_forms == STEMBRIDGE_FULLY_COMMUTATIVE
+
+
+@pytest.mark.parametrize("name", sorted(STEMBRIDGE_FULLY_COMMUTATIVE))
+def test_fully_commutative_counts_match_stembridge(name):
+    fully_commutative = 0
+    for elements in group_by_length(parse_graph(name), 10**6).values():
+        for w in elements:
+            try:
+                count_classes_and_check_bound(w, cap=1)
+            except CapExceededError:
+                continue
+            fully_commutative += 1
+    assert fully_commutative == STEMBRIDGE_FULLY_COMMUTATIVE[name]
 
 
 @st.composite
@@ -110,6 +159,9 @@ def test_engine_matches_oracles_on_random_graphs(case):
     bits = [f_signature(w, c).vector() for c in graph.vertices]
     for i, j in graph.edges:
         assert sum(a != b for a, b in zip(bits[i], bits[j])) == 1
+    # Distinct classes have distinct signatures: the injectivity the search
+    # key relies on, read off signatures computed without the key.
+    assert len(set(bits)) == len(bits)
 
     bound = count_classes_and_check_bound(w)
     assert bound.classes == len(classes) <= 2**bound.contractible

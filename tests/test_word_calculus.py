@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from freebraid import (
     canonical_word,
     element_of,
+    inversion_set,
     inversion_triples,
     is_positive_root,
     is_reduced,
@@ -86,6 +87,7 @@ def test_word_calculus_matches_definitions(case):
 
     shorter = reduce_word(g, word)
     assert element_of(g, shorter) == w
+    assert inversion_set(w) == frozenset(oracle_root_sequence(g, shorter).roots)
     assert word_of_root_sequence(root_sequence(g, shorter)) == shorter
     if w.length <= 8:
         assert canonical_word(w) == min(oracle_reduced_words(w))
