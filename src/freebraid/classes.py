@@ -32,8 +32,8 @@ each class, only by enumerate_reduced_words and class_partition.  Caps: the
 class search counts commutation classes, the size DP counts the down-sets
 of one size it holds (never more than the class has words), and word
 listing counts reduced words; each raises CapExceededError once its tally
-passes the cap.  One engine per element is kept, whatever cap built it;
-every use checks its own cap against it.
+passes the cap.  An engine is built for one element under one cap and
+bounds all its work by that cap.
 
 The class signature records, per contractible triple, whether the heap order
 of the two summands agrees with a fixed precedence on roots; flipping one
@@ -42,6 +42,7 @@ long braid move flips exactly one bit.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, TYPE_CHECKING
@@ -253,16 +254,15 @@ def _too_wide(cap: int) -> CapExceededError:
     return CapExceededError(f"more than {cap} down-sets of one size in a class heap", count=cap + 1)
 
 
-def _linear_extension_count(word: Word, closed: list[int], cap: int) -> tuple[int, int]:
+def _linear_extension_count(word: Word, closed: list[int], cap: int) -> int:
     """Number of linear extensions of the heap of `word`, layer by layer over
-    its down-sets, and the size of the widest layer.
+    its down-sets.
 
     A layer never holds more down-sets than the heap has linear extensions,
     so ``cap`` bounds the work without tripping below the class's word count.
     """
     below, chains = _heap(word, closed)
     ways = {0: 1}
-    widest = 1
     for _ in word:
         grown: dict[int, int] = {}
         for down, k in ways.items():
@@ -275,8 +275,7 @@ def _linear_extension_count(word: Word, closed: list[int], cap: int) -> tuple[in
                 else:
                     raise _too_wide(cap)
         ways = grown
-        widest = max(widest, len(grown))
-    return ways[(1 << len(word)) - 1], widest
+    return ways[(1 << len(word)) - 1]
 
 
 def _linear_extensions(
@@ -313,10 +312,12 @@ class _Engine:
     ``edges`` joins classes one long braid move apart and ``labels`` holds
     the sorted move labels, i.e. the contractible triples.  The search keys a
     class by its orientation of the contractible triples relative to the
-    start class, a neighbour's key being ``key ^ bits[label]``.
+    start class, a neighbour's key being ``key ^ bits[label]``.  ``cap``
+    bounds the classes found, the down-sets of one size the size DP holds and
+    the words ``members`` lists.
     """
 
-    __slots__ = ("base", "roots", "closed", "classes", "edges", "labels", "_sizes", "_widest")
+    __slots__ = ("cap", "base", "roots", "closed", "classes", "edges", "labels", "_sizes")
 
     def __init__(self, w: Element, cap: int):
         from .triples import InversionTriple  # deferred: triples builds on classes
@@ -342,6 +343,7 @@ class _Engine:
                 pairs.add((i, j) if i < j else (j, i))
         order = sorted(range(len(queue)), key=queue.__getitem__)
         rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
+        self.cap = cap
         self.base = base
         self.roots = frozenset(base)
         self.closed = closed
@@ -349,30 +351,26 @@ class _Engine:
         self.edges = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs)
         self.labels = tuple(sorted(InversionTriple(base[a], base[m], base[b]) for a, m, b in bits))
         self._sizes: list[int] | None = None
-        self._widest = 0
 
     def sequence(self, idx: tuple[int, ...]) -> tuple[Root, ...]:
         """Root sequence of a word whose pieces carry root indices ``idx``."""
         return tuple(self.base[i] for i in reversed(idx))
 
-    def sizes(self, cap: int) -> list[int]:
-        """Class sizes; ``cap`` bounds the down-sets of one size the DP holds."""
+    def sizes(self) -> list[int]:
         if self._sizes is None:
-            counted = [_linear_extension_count(word, self.closed, cap) for word, _ in self.classes]
-            self._sizes = [size for size, _ in counted]
-            self._widest = max(widest for _, widest in counted)
-        if self._widest > cap:
-            raise _too_wide(cap)
+            closed, cap = self.closed, self.cap
+            self._sizes = [_linear_extension_count(word, closed, cap) for word, _ in self.classes]
         return self._sizes
 
-    def vertices(self, g: CoxeterGraph, cap: int) -> tuple[CommutationClass, ...]:
+    def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
         return tuple(
             CommutationClass(RootSequence(g, self.sequence(idx)), word, size)
-            for (word, idx), size in zip(self.classes, self.sizes(cap))
+            for (word, idx), size in zip(self.classes, self.sizes())
         )
 
-    def members(self, cap: int) -> list[list[tuple[Word, tuple[int, ...]]]]:
-        """Per class, its reduced words with root indices; ``cap`` counts words."""
+    def members(self) -> list[list[tuple[Word, tuple[int, ...]]]]:
+        """Per class, its reduced words with root indices."""
+        cap = self.cap
         count = 0
         out = []
         for word, idx in self.classes:
@@ -386,58 +384,37 @@ class _Engine:
         return out
 
 
-# The engines of the most recently used elements, least recent first.  An
-# engine does not depend on the cap it was built under, so each use checks
-# its own cap against the engine.
-_ENGINES: dict[Element, _Engine] = {}
-_ENGINES_KEPT = 8
+# The engines of the most recently used (element, cap) pairs.
+_built = functools.lru_cache(maxsize=8)(_Engine)
 
 
-def _engine(w: Element, cap: int | None = None, max_length: int | None = None) -> _Engine:
-    """The class engine of w, guarded by the word-length cap and the class cap."""
-    limit = max_length if max_length is not None else DEFAULT_MAX_WORD_LENGTH
-    if w.length > limit:
+def _engine(w: Element, cap: int | None = None) -> _Engine:
+    """The class engine of w under ``cap``, guarded by the word-length cap."""
+    if w.length > DEFAULT_MAX_WORD_LENGTH:
         raise CapExceededError(
-            f"element length {w.length} exceeds the word-length cap {limit}", count=0
+            f"element length {w.length} exceeds the word-length cap {DEFAULT_MAX_WORD_LENGTH}",
+            count=0,
         )
-    cap = _cap(cap)
-    e = _ENGINES.pop(w, None)
-    if e is None:
-        e = _Engine(w, cap)
-    _ENGINES[w] = e
-    if len(_ENGINES) > _ENGINES_KEPT:
-        del _ENGINES[next(iter(_ENGINES))]
-    if len(e.classes) > cap:
-        raise _too_many(cap)
-    return e
+    return _built(w, _cap(cap))
 
 
-def enumerate_reduced_words(
-    w: Element, cap: int | None = None, max_length: int | None = None
-) -> list[Word]:
+def enumerate_reduced_words(w: Element, cap: int | None = None) -> list[Word]:
     """All reduced words of w, lexicographically sorted; ``cap`` counts words
     (and so also classes, which are never more)."""
-    cap = _cap(cap)
-    members = _engine(w, cap, max_length).members(cap)
+    members = _engine(w, cap).members()
     return sorted(word for block in members for word, _ in block)
 
 
-def enumerate_classes(
-    w: Element, cap: int | None = None, max_length: int | None = None
-) -> list[CommutationClass]:
+def enumerate_classes(w: Element, cap: int | None = None) -> list[CommutationClass]:
     """All commutation classes of w, sorted by canonical (lex-least) word."""
-    cap = _cap(cap)
-    return list(_engine(w, cap, max_length).vertices(w.graph, cap))
+    return list(_engine(w, cap).vertices(w.graph))
 
 
-def class_partition(
-    w: Element, cap: int | None = None, max_length: int | None = None
-) -> list[frozenset[tuple[Root, ...]]]:
+def class_partition(w: Element, cap: int | None = None) -> list[frozenset[tuple[Root, ...]]]:
     """Member root sequences per class (as root tuples), in class order;
     ``cap`` counts root sequences."""
-    cap = _cap(cap)
-    e = _engine(w, cap, max_length)
-    return [frozenset(e.sequence(idx) for _, idx in block) for block in e.members(cap)]
+    e = _engine(w, cap)
+    return [frozenset(e.sequence(idx) for _, idx in block) for block in e.members()]
 
 
 def f_signature(
@@ -470,9 +447,8 @@ def count_classes_and_check_bound(w: Element, cap: int | None = None) -> BoundCh
 
 
 def commutation_graph(w: Element, cap: int | None = None) -> CommutationGraph:
-    cap = _cap(cap)
     e = _engine(w, cap)
-    return CommutationGraph(e.vertices(w.graph, cap), e.edges)
+    return CommutationGraph(e.vertices(w.graph), e.edges)
 
 
 def is_bipartite(graph: CommutationGraph) -> Bipartition:

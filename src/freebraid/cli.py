@@ -70,7 +70,7 @@ def _emit(doc: dict, args) -> None:
 
 
 def _cap(args) -> int:
-    if getattr(args, "max_words", None) is not None:
+    if args.max_words is not None:
         return args.max_words
     env = os.environ.get("FB_MAX_WORDS")
     if env is not None:
@@ -291,15 +291,19 @@ def _add_element_args(p: argparse.ArgumentParser, perm: bool = True) -> None:
         p.add_argument("--perm", help="one-line permutation (implies the matching path graph)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-words", type=int, default=None,
-                   help="cap on commutation classes, and on reduced words where words "
-                        "are listed (--verify); enumerate counts every permutation's "
-                        "classes without listing them and exits 3 if one has more "
-                        "(w0 of S8 has 1,232,944); overrides FB_MAX_WORDS")
+def _add_common(
+    p: argparse.ArgumentParser, max_words: bool = True, precedence: bool = True
+) -> None:
+    if max_words:
+        p.add_argument("--max-words", type=int, default=None,
+                       help="cap on commutation classes, and on reduced words where words "
+                            "are listed (--verify); enumerate counts every permutation's "
+                            "classes without listing them and exits 3 if one has more "
+                            "(w0 of S8 has 1,232,944); overrides FB_MAX_WORDS")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--precedence", choices=tuple(PRECEDENCES), default="lex",
-                   help="root order used for signature bits")
+    if precedence:
+        p.add_argument("--precedence", choices=tuple(PRECEDENCES), default="lex",
+                       help="root order used for signature bits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce a word; print inversion set and root sequence")
     _add_element_args(p, perm=False)
-    _add_common(p)
+    _add_common(p, max_words=False, precedence=False)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("analyze", help="triples, classes, signatures, bound check")
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="largest rank to tabulate")
     p.add_argument("--limit", type=int, default=DEFAULT_ENUM_RANK_LIMIT,
                    help="largest rank the table may request")
-    _add_common(p)
+    _add_common(p, precedence=False)
     p.set_defaults(func=cmd_enumerate)
     return parser
 

@@ -74,7 +74,7 @@ def test_the_engine_braids_once_per_class(monkeypatch):
         return braid(*args)
 
     monkeypatch.setattr(freebraid.classes, "_braid", counted)
-    monkeypatch.setattr(freebraid.classes, "_ENGINES", {})
+    freebraid.classes._built.cache_clear()
     assert len(enumerate_classes(perm_to_element((6, 5, 4, 3, 2, 1)))) == 908
     assert calls == 907
 
@@ -180,11 +180,11 @@ def test_class_size_dp_respects_the_cap():
     # The DP stops at the cap itself rather than checking after the count.
     closed = _closed_neighborhoods(w.graph)
     with pytest.raises(CapExceededError):
-        _linear_extension_count(canonical_word(w), closed, 100)
-    assert _linear_extension_count(canonical_word(w), closed, 924) == (factorial(12), 924)
+        _linear_extension_count(canonical_word(w), closed, 923)
+    assert _linear_extension_count(canonical_word(w), closed, 924) == factorial(12)
     assert [c.size for c in enumerate_classes(w)] == [factorial(12)]
     with pytest.raises(CapExceededError):
-        enumerate_classes(w, cap=100)  # the cached sizes answer to the cap too
+        enumerate_classes(w, cap=100)  # an engine built under another cap does not answer
 
 
 def test_wide_heap_exits_on_the_cap(capsys):
@@ -200,6 +200,20 @@ def test_a_cached_engine_still_answers_to_each_cap():
         count_classes_and_check_bound(w, cap=61)
     assert info.value.count == 62
     assert count_classes_and_check_bound(w, cap=62).classes == 62
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "-g", "D4", "-w", "2 1 3 4 2 1 3 4 2 1 3 4", "--verify"],
+        ["graph", "-g", "D4", "-w", "2 1 3 4 2 4 3 1 2", "--parity"],
+    ],
+)
+def test_one_command_builds_one_engine(argv, capsys):
+    """Every use in a command passes the same cap, so all hit one engine."""
+    freebraid.classes._built.cache_clear()
+    assert main(argv) == EXIT_OK
+    assert freebraid.classes._built.cache_info().misses == 1
 
 
 def test_path_forests_skip_the_engine():

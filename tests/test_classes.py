@@ -22,6 +22,7 @@ from freebraid import (
     pairing,
     parity,
     parse_graph,
+    perm_to_element,
     root_sequence,
     to_dot,
 )
@@ -67,8 +68,9 @@ def test_enumerate_words_cap():
 
 
 def test_enumerate_words_max_length_guard():
+    w0_s12 = perm_to_element(tuple(range(12, 0, -1)))  # length 66, above the guard of 64
     with pytest.raises(CapExceededError) as info:
-        enumerate_reduced_words(W0_S4, max_length=3)
+        enumerate_reduced_words(w0_s12)
     assert info.value.count == 0
 
 

@@ -261,6 +261,20 @@ def test_threads_flag_validated(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "-g", "A2", "-w", "1 2", "--precedence", "revlex"],
+        ["reduce", "-g", "A2", "-w", "1 2", "--max-words", "5"],
+        ["enumerate", "-n", "3", "--precedence", "revlex"],
+    ],
+)
+def test_flags_a_subcommand_does_not_take_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_verify_failure_exit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "oracle_reduced_words", lambda w, cap=None: [])
     code, _, err = run(capsys, "analyze", "-g", "A2", "-w", "1 2 1", "--verify")
