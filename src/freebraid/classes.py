@@ -11,10 +11,11 @@ words.  A class is held as its lex-least word (its heap's first linear
 extension), each piece carrying the index of its root in the root sequence
 of canonical_word(w).  Long braid moves are the edges: two consecutive
 s-pieces p < r admit one exactly when the open heap interval (p, r) is a
-single piece q.  The move writes the word as U + (p q r) + D, with U the
-pieces not above p, replaces s t s by t s t and reverses the root indices
-of the three pieces.  The move labels {root(p), root(q), root(r)} are
-exactly the contractible triples.
+single piece q.  The letters between p and r then commute with s, so the
+move rewrites s A t B s as A t s t B and reverses the root indices of the
+three pieces; inserting the moved pieces one by one into the unchanged
+prefix before p gives the new class's lex-least word.  The move labels
+{root(p), root(q), root(r)} are exactly the contractible triples.
 
 The search keys a class by the XOR of one bit per move label on a path to
 it from the start class, and braids out a class's word only when its key is
@@ -37,7 +38,9 @@ bounds all its work by that cap.
 
 The class signature records, per contractible triple, whether the heap order
 of the two summands agrees with a fixed precedence on roots; flipping one
-long braid move flips exactly one bit.
+long braid move flips exactly one bit.  The bits are read off the search
+key: a triple's bit is its key bit XOR the start class's orientation of the
+triple XOR the precedence's.
 """
 
 from __future__ import annotations
@@ -167,34 +170,18 @@ def _closed_neighborhoods(g: CoxeterGraph) -> list[int]:
 def _heap(word: Word, closed: list[int]) -> tuple[dict[int, int], tuple[int, ...]]:
     """The heap of `word`, its pieces as bits in word order.
 
-    Returns, per piece bit, the mask of the pieces it directly lies on, and
-    each letter's chain of pieces, by letter.  A piece can join a down-set
-    when it is the lowest piece of its chain outside the set and every piece
-    it lies on is inside.
+    Returns, per piece bit, the mask of the earlier pieces whose letter is
+    equal or adjacent to its own (all of them lie below it), and each
+    letter's chain of pieces, by letter.  A piece can join a down-set when
+    it is the lowest piece of its chain outside the set and its mask is
+    inside.
     """
-    below: dict[int, int] = {}
-    last: dict[int, int] = {}
     chains: dict[int, int] = {}
     for p, s in enumerate(word):
-        near = closed[s]
-        m = 0
-        for t, k in last.items():
-            if near >> t & 1:
-                m |= 1 << k
-        below[1 << p] = m
-        last[s] = p
         chains[s] = chains.get(s, 0) | 1 << p
+    near = {s: sum(chain for t, chain in chains.items() if closed[s] >> t & 1) for s in chains}
+    below = {1 << p: near[s] & ((1 << p) - 1) for p, s in enumerate(word)}
     return below, tuple(chains[s] for s in sorted(chains))
-
-
-def _addable(down: int, below: dict[int, int], chains: tuple[int, ...]) -> Iterator[int]:
-    """Bits of the pieces that can join the down-set `down`, by letter."""
-    for chain in chains:
-        free = chain & ~down
-        if free:
-            bit = free & -free
-            if not below[bit] & ~down:
-                yield bit
 
 
 def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -224,22 +211,37 @@ def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]
 def _braid(
     word: Word, idx: tuple[int, ...], p: int, q: int, r: int, closed: list[int]
 ) -> tuple[Word, tuple[int, ...]]:
-    """The class one long braid move away, as its lex-least word and indices."""
-    low = list(range(p))
-    high = []
-    above = closed[word[p]]
-    for k in range(p + 1, len(word)):
-        x = word[k]
-        if above >> x & 1:
-            above |= closed[x]
-            if k != q and k != r:
-                high.append(k)
-        else:
-            low.append(k)
-    s, t = word[p], word[q]
-    new_word = [word[k] for k in low] + [t, s, t] + [word[k] for k in high]
-    new_idx = [idx[k] for k in low] + [idx[r], idx[q], idx[p]] + [idx[k] for k in high]
-    return next(_linear_extensions(new_word, new_idx, closed))
+    """The class one long braid move away, s A t B s to A t s t B, as its
+    lex-least word and indices; the lex-least prefix before p stays."""
+    t = word[q]
+    moved = word[:p] + word[p + 1 : q] + (t, word[p], t) + word[q + 1 : r] + word[r + 1 :]
+    roots = idx[:p] + idx[p + 1 : q] + (idx[r], idx[q], idx[p]) + idx[q + 1 : r] + idx[r + 1 :]
+    return _least_extension(moved, roots, closed, p)
+
+
+def _least_extension(
+    word: Word, idx: tuple[int, ...], closed: list[int], start: int
+) -> tuple[Word, tuple[int, ...]]:
+    """The lex-least linear extension of the heap of `word`, with root
+    indices, when ``word[:start]`` is already lex-least for its own heap.
+
+    Each later piece goes into the run of letters at the end that commute
+    with it, just before the first letter of that run larger than it, or
+    last.  That keeps the word free of factors b u a with a < b and a
+    commuting with b u, which is what makes a word lex-least in its class
+    (Anisimov and Knuth, 1979).
+    """
+    letters, roots = list(word[:start]), list(idx[:start])
+    for a, i in zip(word[start:], idx[start:]):
+        near = closed[a]
+        at = m = len(letters)
+        while m and not near >> letters[m - 1] & 1:
+            m -= 1
+            if letters[m] > a:
+                at = m
+        letters.insert(at, a)
+        roots.insert(at, i)
+    return tuple(letters), tuple(roots)
 
 
 def _cap(cap: int | None) -> int:
@@ -266,7 +268,11 @@ def _linear_extension_count(word: Word, closed: list[int], cap: int) -> int:
     for _ in word:
         grown: dict[int, int] = {}
         for down, k in ways.items():
-            for bit in _addable(down, below, chains):
+            for chain in chains:
+                free = chain & ~down
+                bit = free & -free
+                if not free or below[bit] & ~down:
+                    continue
                 up = down | bit
                 if up in grown:
                     grown[up] += k
@@ -292,7 +298,11 @@ def _linear_extensions(
         if down == full:
             yield tuple(letters), tuple(roots)
             return
-        for bit in _addable(down, below, chains):
+        for chain in chains:
+            free = chain & ~down
+            bit = free & -free
+            if not free or below[bit] & ~down:
+                continue
             p = bit.bit_length() - 1
             letters.append(word[p])
             roots.append(idx[p])
@@ -306,18 +316,22 @@ def _linear_extensions(
 class _Engine:
     """The commutation classes of one element, found by a search over heaps.
 
-    ``base`` is the root sequence of canonical_word(w).  ``classes`` holds
-    (lex-least word, root indices) sorted by word, where ``idx[p]`` indexes
-    into ``base`` the root carried by the piece at word position p.
-    ``edges`` joins classes one long braid move apart and ``labels`` holds
-    the sorted move labels, i.e. the contractible triples.  The search keys a
-    class by its orientation of the contractible triples relative to the
-    start class, a neighbour's key being ``key ^ bits[label]``.  ``cap``
-    bounds the classes found, the down-sets of one size the size DP holds and
-    the words ``members`` lists.
+    ``base`` is the root sequence of canonical_word(w), and of the start
+    class.  ``classes`` maps each class's lex-least word, in sorted order, to
+    (root indices, key), where ``idx[p]`` indexes into ``base`` the root
+    carried by the piece at word position p.  ``edges`` joins classes one
+    long braid move apart and ``labels`` holds the sorted move labels, i.e.
+    the contractible triples.  The search keys a class by its orientation of
+    the contractible triples relative to the start class, a neighbour's key
+    being ``key ^ bits[label]``; ``label_bits`` holds, per sorted label, the
+    place of its key bit and its two signature entries, (label, 0) and
+    (label, 1).  ``cap`` bounds the classes found, the down-sets of one size
+    the size DP holds and the words ``members`` lists.
     """
 
-    __slots__ = ("cap", "base", "roots", "closed", "classes", "edges", "labels", "_sizes")
+    __slots__ = (
+        "cap", "base", "closed", "classes", "edges", "labels", "label_bits", "_sizes", "_flips"
+    )
 
     def __init__(self, w: Element, cap: int):
         from .triples import InversionTriple  # deferred: triples builds on classes
@@ -343,14 +357,19 @@ class _Engine:
                 pairs.add((i, j) if i < j else (j, i))
         order = sorted(range(len(queue)), key=queue.__getitem__)
         rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
+        labels = sorted(
+            (InversionTriple(base[a], base[m], base[b]), bit.bit_length() - 1)
+            for (a, m, b), bit in bits.items()
+        )
         self.cap = cap
         self.base = base
-        self.roots = frozenset(base)
         self.closed = closed
-        self.classes = [queue[k][:2] for k in order]
+        self.classes = {queue[k][0]: queue[k][1:] for k in order}
         self.edges = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs)
-        self.labels = tuple(sorted(InversionTriple(base[a], base[m], base[b]) for a, m, b in bits))
+        self.labels = tuple(t for t, _ in labels)
+        self.label_bits = tuple((j, ((t, 0), (t, 1))) for t, j in labels)
         self._sizes: list[int] | None = None
+        self._flips: dict[Callable[[Root], object], int] = {}
 
     def sequence(self, idx: tuple[int, ...]) -> tuple[Root, ...]:
         """Root sequence of a word whose pieces carry root indices ``idx``."""
@@ -359,13 +378,24 @@ class _Engine:
     def sizes(self) -> list[int]:
         if self._sizes is None:
             closed, cap = self.closed, self.cap
-            self._sizes = [_linear_extension_count(word, closed, cap) for word, _ in self.classes]
+            self._sizes = [_linear_extension_count(word, closed, cap) for word in self.classes]
         return self._sizes
+
+    def flips(self, precedence: Precedence) -> int:
+        """The key bits of the labels the start class orders against ``precedence``."""
+        if precedence.key not in self._flips:
+            pos = self.base.index
+            self._flips[precedence.key] = sum(
+                1 << j
+                for t, (j, _) in zip(self.labels, self.label_bits)
+                if (pos(t.low) < pos(t.high)) != precedence.precedes(t.low, t.high)
+            )
+        return self._flips[precedence.key]
 
     def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
         return tuple(
             CommutationClass(RootSequence(g, self.sequence(idx)), word, size)
-            for (word, idx), size in zip(self.classes, self.sizes())
+            for (word, (idx, _)), size in zip(self.classes.items(), self.sizes())
         )
 
     def members(self) -> list[list[tuple[Word, tuple[int, ...]]]]:
@@ -373,7 +403,7 @@ class _Engine:
         cap = self.cap
         count = 0
         out = []
-        for word, idx in self.classes:
+        for word, (idx, _) in self.classes.items():
             members = []
             for member in _linear_extensions(word, idx, self.closed):
                 count += 1
@@ -420,16 +450,13 @@ def class_partition(w: Element, cap: int | None = None) -> list[frozenset[tuple[
 def f_signature(
     w: Element, c: CommutationClass, precedence: Precedence = LEX, cap: int | None = None
 ) -> FSignature:
+    """The signature of class c, read off its search key."""
     e = _engine(w, cap)
-    if c.canonical.graph != w.graph or frozenset(c.canonical.roots) != e.roots:
+    idx, key = e.classes.get(c.canonical_word, (None, 0))
+    if idx is None or c.canonical.graph != w.graph or c.canonical.roots != e.sequence(idx):
         raise ValueError("class does not belong to this element")
-    pos = {r: i for i, r in enumerate(c.canonical.roots)}
-    entries = []
-    for t in e.labels:
-        heap_low_first = pos[t.low] < pos[t.high]
-        prec_low_first = precedence.precedes(t.low, t.high)
-        entries.append((t, 0 if heap_low_first == prec_low_first else 1))
-    return FSignature(tuple(entries))
+    x = key ^ e.flips(precedence)
+    return FSignature(tuple([entry[x >> j & 1] for j, entry in e.label_bits]))
 
 
 def parity(

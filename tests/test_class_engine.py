@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import freebraid.classes
 from freebraid import (
+    LEX,
+    REVLEX,
     CapExceededError,
     CoxeterGraph,
     canonical_word,
@@ -35,10 +37,16 @@ from freebraid import (
     times_generator,
 )
 from freebraid.cli import EXIT_CAP, EXIT_OK, main
-from freebraid.classes import _closed_neighborhoods, _linear_extension_count
+from freebraid.classes import (
+    _closed_neighborhoods,
+    _engine,
+    _least_extension,
+    _linear_extension_count,
+    _linear_extensions,
+)
 from freebraid.oracle import oracle_classes_by_bfs, oracle_contractible
 from freebraid.typea import perm_to_element
-from conftest import group_by_length
+from conftest import GOLDEN_D4_WORD, group_by_length
 
 # Commutation classes of w0 in S_n (Knuth, Axioms and Hulls, 1992; OEIS A006245).
 KNUTH_W0_CLASSES = {5: 62, 6: 908, 7: 24_698}
@@ -77,6 +85,61 @@ def test_the_engine_braids_once_per_class(monkeypatch):
     freebraid.classes._built.cache_clear()
     assert len(enumerate_classes(perm_to_element((6, 5, 4, 3, 2, 1)))) == 908
     assert calls == 907
+
+
+def test_analyze_builds_each_class_heap_once(monkeypatch, capsys):
+    """Only the size DP builds a heap: one per class of w0(A5), not two."""
+    calls = 0
+    heap = freebraid.classes._heap
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return heap(*args)
+
+    monkeypatch.setattr(freebraid.classes, "_heap", counted)
+    freebraid.classes._built.cache_clear()
+    assert main(["analyze", "--perm", "654321"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == 908
+
+
+# Elements on a path, a branched, an exceptional, a cyclic (affine A~2) and
+# a disconnected graph.
+SCAN_CASES = [
+    (parse_graph("A4"), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)),
+    (parse_graph("D4"), GOLDEN_D4_WORD),
+    (parse_graph("E6"), (3, 4, 5, 4, 3, 1, 6, 2, 4, 3, 5, 6, 4, 2)),  # 9 classes
+    (parse_graph("1-2,2-3,1-3"), (1, 2, 3, 1, 2, 3, 2)),
+    (parse_graph("1-2,3-4"), (1, 2, 1, 3, 4, 3)),
+]
+
+
+@pytest.mark.parametrize("g, word", SCAN_CASES)
+def test_insertion_gives_the_first_linear_extension(g, word):
+    """From any word of a class, inserting its pieces one by one gives the
+    first linear extension in lexicographic order, root indices included,
+    and that is the word and indices the engine holds for the class."""
+    e = _engine(element_of(g, word))
+    for (least, (least_idx, _)), members in zip(e.classes.items(), e.members()):
+        for member, idx in members:
+            first = next(_linear_extensions(member, idx, e.closed))
+            assert _least_extension(member, idx, e.closed, 0) == first == (least, least_idx)
+
+
+@pytest.mark.parametrize("g, word", SCAN_CASES)
+def test_signatures_read_off_the_key_match_heap_positions(g, word):
+    """A bit is 1 exactly when the class orders a triple's two summands
+    against the precedence."""
+    w = element_of(g, word)
+    for c in enumerate_classes(w):
+        pos = {r: i for i, r in enumerate(c.canonical.roots)}
+        for precedence in (LEX, REVLEX):
+            expected = [
+                (t, int((pos[t.low] < pos[t.high]) != precedence.precedes(t.low, t.high)))
+                for t in sorted(contractible_triples(w))
+            ]
+            assert list(f_signature(w, c, precedence).entries) == expected
 
 
 def catalan(n: int) -> int:

@@ -8,6 +8,7 @@ from freebraid import (
     LEX,
     REVLEX,
     CapExceededError,
+    CommutationClass,
     CommutationGraph,
     class_partition,
     commutation_graph,
@@ -166,6 +167,10 @@ def test_f_signature_rejects_foreign_class():
         f_signature(W0_S4, c)
     with pytest.raises(ValueError):
         f_signature(W0_S3, c)
+    # One of w's class words, carrying the other class's root sequence.
+    lo, hi = enumerate_classes(W0_S3)
+    with pytest.raises(ValueError):
+        f_signature(W0_S3, CommutationClass(hi.canonical, lo.canonical_word, lo.size))
 
 
 def test_signature_domain_is_contractible_triples():
