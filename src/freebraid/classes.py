@@ -8,14 +8,15 @@ exactly the linear extensions of the heap.
 
 Classes are found by a breadth-first search whose states are classes, not
 words.  A class is held as its lex-least word (its heap's first linear
-extension), each piece carrying the index of its root in the root sequence
-of canonical_word(w).  Long braid moves are the edges: two consecutive
-s-pieces p < r admit one exactly when the open heap interval (p, r) is a
-single piece q.  The letters between p and r then commute with s, so the
-move rewrites s A t B s as A t s t B and reverses the root indices of the
-three pieces; inserting the moved pieces one by one into the unchanged
-prefix before p gives the new class's lex-least word.  The move labels
-{root(p), root(q), root(r)} are exactly the contractible triples.
+extension); its root sequence is derived from that word when asked for.
+In the search each piece also carries the index of its root in the root
+sequence of canonical_word(w).  Long braid moves are the edges: two
+consecutive s-pieces p < r admit one exactly when the open heap interval
+(p, r) is a single piece q.  The letters between p and r then commute with
+s, so the move rewrites s A t B s as A t s t B and reverses the root indices
+of the three pieces; inserting the moved pieces one by one into the
+unchanged prefix before p gives the new class's lex-least word.  The move
+labels {root(p), root(q), root(r)} are exactly the contractible triples.
 
 The search keys a class by the XOR of one bit per move label on a path to
 it from the start class, and braids out a class's word only when its key is
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TYPE_CHECKING
+from typing import Callable, Iterator
 
 from .coxeter import (
     CapExceededError,
@@ -61,10 +62,7 @@ from .coxeter import (
     canonical_word,
     format_word,
 )
-from .rootseq import RootSequence, root_sequence
-
-if TYPE_CHECKING:
-    from .triples import InversionTriple
+from .rootseq import InversionTriple, RootSequence, root_sequence
 
 __all__ = [
     "Precedence",
@@ -106,11 +104,19 @@ PRECEDENCES = {"lex": LEX, "revlex": REVLEX}
 
 @dataclass(frozen=True)
 class CommutationClass:
-    """One commutation class: its lex-least word, that word's sequence, size."""
+    """One commutation class, held as its lex-least word, and its size.
 
-    canonical: RootSequence
+    The word determines the class, so its root sequence is derived from it.
+    """
+
+    graph: CoxeterGraph
     canonical_word: Word
     size: int
+
+    @property
+    def canonical(self) -> RootSequence:
+        """The root sequence of the lex-least word."""
+        return root_sequence(self.graph, self.canonical_word)
 
 
 @dataclass(frozen=True)
@@ -121,9 +127,9 @@ class FSignature:
     the precedence does, 1 when they disagree.
     """
 
-    entries: tuple[tuple["InversionTriple", int], ...]
+    entries: tuple[tuple[InversionTriple, int], ...]
 
-    def bits(self) -> dict["InversionTriple", int]:
+    def bits(self) -> dict[InversionTriple, int]:
         return dict(self.entries)
 
     def vector(self) -> tuple[int, ...]:
@@ -334,8 +340,6 @@ class _Engine:
     )
 
     def __init__(self, w: Element, cap: int):
-        from .triples import InversionTriple  # deferred: triples builds on classes
-
         g = w.graph
         closed = _closed_neighborhoods(g)
         start = canonical_word(w)
@@ -393,10 +397,7 @@ class _Engine:
         return self._flips[precedence.key]
 
     def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
-        return tuple(
-            CommutationClass(RootSequence(g, self.sequence(idx)), word, size)
-            for (word, (idx, _)), size in zip(self.classes.items(), self.sizes())
-        )
+        return tuple(CommutationClass(g, word, k) for word, k in zip(self.classes, self.sizes()))
 
     def members(self) -> list[list[tuple[Word, tuple[int, ...]]]]:
         """Per class, its reduced words with root indices."""
@@ -452,8 +453,8 @@ def f_signature(
 ) -> FSignature:
     """The signature of class c, read off its search key."""
     e = _engine(w, cap)
-    idx, key = e.classes.get(c.canonical_word, (None, 0))
-    if idx is None or c.canonical.graph != w.graph or c.canonical.roots != e.sequence(idx):
+    _, key = e.classes.get(c.canonical_word, (None, None))
+    if key is None or c.graph != w.graph:
         raise ValueError("class does not belong to this element")
     x = key ^ e.flips(precedence)
     return FSignature(tuple([entry[x >> j & 1] for j, entry in e.label_bits]))

@@ -1,10 +1,10 @@
 """Simply laced Coxeter systems with exact integer root arithmetic.
 
 Generators are numbered 1..n.  A root is an integer coefficient vector over
-the simple roots, stored as a plain tuple.  All geometry goes through the
-symmetrized Cartan matrix (twice the usual bilinear form), so every pairing
-is an exact integer and two roots are orthogonal exactly when their pairing
-is 0.
+the simple roots, stored as a plain tuple.  A graph is its edges: the
+symmetrized Cartan pairing (twice the usual bilinear form) and the simple
+reflections are read off them, so every pairing is an exact integer and two
+roots are orthogonal exactly when their pairing is 0.
 
 A group element w is stored as its column images: the roots w(a_s), one per
 generator s, which together are its matrix on root coordinates (as in
@@ -87,13 +87,12 @@ class CoxeterGraph:
     """A simply laced Coxeter graph: m(s,t)=3 on edges, m(s,t)=2 off them.
 
     ``edges`` holds unordered generator pairs normalized to (min, max).
-    The symmetrized Cartan matrix and adjacency lists are derived once at
-    construction; they are excluded from equality and hashing.
+    The adjacency lists are derived once at construction; they are excluded
+    from equality and hashing.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    cartan: Matrix = field(init=False, compare=False, repr=False)
     neighbors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -112,14 +111,6 @@ class CoxeterGraph:
             nbrs[s - 1].append(t)
             nbrs[t - 1].append(s)
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(v)) for v in nbrs))
-        rows = []
-        for s in range(1, self.n + 1):
-            row = [0] * self.n
-            row[s - 1] = 2
-            for t in self.neighbors[s - 1]:
-                row[t - 1] = -1
-            rows.append(tuple(row))
-        object.__setattr__(self, "cartan", tuple(rows))
 
     def adjacent(self, s: int, t: int) -> bool:
         return (min(s, t), max(s, t)) in self.edges
@@ -260,15 +251,15 @@ def _identity(n: int) -> Matrix:
 
 @lru_cache(maxsize=None)
 def reflection_matrix(g: CoxeterGraph, s: int) -> Matrix:
-    """Matrix of the simple reflection s in simple-root coordinates."""
+    """Matrix of the simple reflection s in simple-root coordinates.
+
+    s(a_t) differs from a_t only in its a_s coefficient, so only row s
+    differs from the identity: -1 at s, as s(a_s) = -a_s, and +1 at each
+    neighbour t, as s(a_t) = a_t + a_s.
+    """
     _check_letter(g, s)
-    rows = []
-    for i in range(1, g.n + 1):
-        if i != s:
-            rows.append(tuple(1 if j == i else 0 for j in range(1, g.n + 1)))
-        else:
-            rows.append(tuple((1 if j == s else 0) - g.cartan[s - 1][j - 1] for j in range(1, g.n + 1)))
-    return tuple(rows)
+    row = tuple(-1 if t == s else int(t in g.neighbors[s - 1]) for t in g.generators())
+    return _identity(g.n)[: s - 1] + (row,) + _identity(g.n)[s:]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

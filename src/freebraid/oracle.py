@@ -5,9 +5,9 @@ production algorithms: reduced words come from descent recursion on full
 matrices (``mat_mul`` by ``reflection_matrix``) instead of column steps and
 the class engine, root sequences from their definition with ``act``,
 commutation classes from literal breadth-first closure under adjacent
-orthogonal swaps instead of heap-order keying, and contractibility from
-scanning every root sequence for a consecutive occurrence.  Tests and the
-CLI --verify mode diff these against production.
+orthogonal swaps instead of heap-order keying, and contractibility from one
+scan of every root sequence for its windows of three consecutive roots.
+Tests and the CLI --verify mode diff these against production.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "oracle_reduced_words",
     "oracle_all_root_sequences",
     "oracle_classes_by_bfs",
+    "oracle_contractible_triples",
     "oracle_contractible",
 ]
 
@@ -106,12 +107,16 @@ def oracle_classes_by_bfs(w: Element, cap: int | None = None) -> list[frozenset[
     return blocks
 
 
+def oracle_contractible_triples(w: Element, cap: int | None = None) -> frozenset[frozenset[Root]]:
+    """Every window of three consecutive roots, as a set, over every root
+    sequence of w; a triple is contractible exactly when it is one of them."""
+    return frozenset(
+        frozenset(r.roots[k:k + 3])
+        for r in oracle_all_root_sequences(w, cap)
+        for k in range(len(r) - 2)
+    )
+
+
 def oracle_contractible(w: Element, triple, cap: int | None = None) -> bool:
-    """Scan every root sequence of w for a consecutive occurrence of the triple."""
-    target = {triple.low, triple.mid, triple.high}
-    for r in oracle_all_root_sequences(w, cap):
-        roots = r.roots
-        for k in range(len(roots) - 2):
-            if set(roots[k:k + 3]) == target:
-                return True
-    return False
+    """Does some root sequence of w carry the triple consecutively?"""
+    return frozenset((triple.low, triple.mid, triple.high)) in oracle_contractible_triples(w, cap)

@@ -11,7 +11,7 @@ Two sequences are commutation equivalent exactly when their heap orders
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .coxeter import (
     CoxeterGraph,
@@ -55,6 +55,14 @@ class RootSequence:
 
     def __getitem__(self, i: int) -> Root:
         return self.roots[i]
+
+
+class InversionTriple(NamedTuple):
+    """Triple with low + high = mid; low/high ordered lexicographically."""
+
+    low: Root
+    mid: Root
+    high: Root
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ contractible triple into a consecutive block.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .coxeter import Element, Root, is_path_forest, pairing
-from .rootseq import RootSequence, inversion_set
+from .rootseq import InversionTriple, RootSequence, inversion_set
 from .classes import _engine
 
 __all__ = [
@@ -26,14 +26,6 @@ __all__ = [
     "is_freely_braided",
     "consecutive_normal_form",
 ]
-
-
-class InversionTriple(NamedTuple):
-    """Triple with low + high = mid; low/high ordered lexicographically."""
-
-    low: Root
-    mid: Root
-    high: Root
 
 
 def inversion_triples(w: Element) -> frozenset[InversionTriple]:

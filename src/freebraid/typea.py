@@ -29,11 +29,10 @@ from .coxeter import (
     ParseError,
     Root,
     canonical_word,
-    element_of,
     is_standard_a_graph,
     parse_graph,
 )
-from .triples import InversionTriple
+from .rootseq import InversionTriple
 
 __all__ = [
     "Permutation",
@@ -95,25 +94,19 @@ def format_permutation(p: Permutation) -> str:
 
 
 def perm_to_element(p: Permutation) -> Element:
-    """Bubble-sort the one-line notation into a reduced word, then evaluate.
+    """Read the columns off the one-line notation: w(a_i) = e_p(i) - e_p(i+1).
 
-    Each swap of adjacent descending values is one right multiplication by a
-    simple transposition, so the collected letters (reversed) form a reduced
-    word: the swap count equals the inversion number.
+    That root is _eps_root(p(i), p(i+1)), negated when p(i) > p(i+1), and
+    the length of w is its inversion count.
     """
     _check_perm(p)
-    graph = parse_graph(f"A{len(p) - 1}")
-    q = list(p)
-    letters: list[int] = []
-    moved = True
-    while moved:
-        moved = False
-        for i in range(len(q) - 1):
-            if q[i] > q[i + 1]:
-                q[i], q[i + 1] = q[i + 1], q[i]
-                letters.append(i + 1)
-                moved = True
-    return element_of(graph, tuple(reversed(letters)))
+    n = len(p)
+    columns = tuple(
+        _eps_root(a, b, n) if a < b else tuple(-c for c in _eps_root(b, a, n))
+        for a, b in zip(p, p[1:])
+    )
+    length = sum(a > b for a, b in combinations(p, 2))
+    return Element(parse_graph(f"A{n - 1}"), columns, length)
 
 
 def element_to_perm(g: CoxeterGraph, w: Element) -> Permutation:

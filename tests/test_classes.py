@@ -167,10 +167,29 @@ def test_f_signature_rejects_foreign_class():
         f_signature(W0_S4, c)
     with pytest.raises(ValueError):
         f_signature(W0_S3, c)
-    # One of w's class words, carrying the other class's root sequence.
-    lo, hi = enumerate_classes(W0_S3)
+    # One of w's class words, on another graph.
+    lo, _ = enumerate_classes(W0_S3)
     with pytest.raises(ValueError):
-        f_signature(W0_S3, CommutationClass(hi.canonical, lo.canonical_word, lo.size))
+        f_signature(W0_S3, CommutationClass(A3, lo.canonical_word, lo.size))
+    # A word of w's graph that is none of w's class words.
+    with pytest.raises(ValueError):
+        f_signature(W0_S3, CommutationClass(A2, (1, 2), 1))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        perm_to_element((5, 4, 3, 2, 1)),
+        element_of(D4, GOLDEN_D4_WORD),
+        element_of(parse_graph("1-2,2-3,1-3"), (1, 2, 3, 1, 2, 3, 2)),
+        element_of(parse_graph("1-2,3-4"), (1, 2, 1, 3, 4, 3)),
+    ],
+    ids=["w0_A4", "golden_D4", "affine_A2", "two_paths"],
+)
+def test_class_root_sequence_is_that_of_its_word(w):
+    for c in enumerate_classes(w):
+        assert c.graph == w.graph
+        assert c.canonical == root_sequence(c.graph, c.canonical_word)
 
 
 def test_signature_domain_is_contractible_triples():

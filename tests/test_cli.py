@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 import freebraid.cli as cli
+from freebraid import inversion_triples
 from freebraid.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
 
@@ -120,7 +122,9 @@ def test_analyze_verify_non_path_graph(capsys):
 
 
 def test_verify_catches_contractibility_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "oracle_contractible", lambda w, t, cap=None: True)
+    # An oracle that sees every inversion triple as three consecutive roots.
+    every = lambda w, cap=None: frozenset(frozenset(t) for t in inversion_triples(w))
+    monkeypatch.setattr(cli, "oracle_contractible_triples", every)
     code, _, err = run(capsys, *GOLDEN_D4)
     assert code == EXIT_VERIFY
     assert "contractibility verdicts disagree" in err
@@ -280,3 +284,34 @@ def test_verify_failure_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "-g", "A2", "-w", "1 2 1", "--verify")
     assert code == EXIT_VERIFY
     assert "verification failed" in err
+
+
+# --- pinned output bytes ---
+
+# sha256 of the stdout of each command; any change to those bytes is a
+# change to the CLI's output.
+GOLDEN_STDOUT = {
+    ("analyze", "--perm", "654321"):
+        "a7675375a5bdc86b0f3a0b074559fd1e177a7b7f6ea11f47ef3c875ea71fb7d3",
+    ("analyze", "-g", "D4", "-w", "2 1 3 4 2 4 3 1 2", "--verify", "--format", "text"):
+        "1269a70b9d38bb0890a57e8da965ff8b777a28821e8b75c74d97c850beb6ab9f",
+    ("graph", "-g", "E6", "-w", "1,3,4,2,5,4,3,1,6,5,4", "--dot", "--parity"):
+        "57b612ee99492abc5ef1c70cc784cc35cf2309d219f1c47310cb8ddbe31e3aa5",
+    ("graph", "-g", "1-2,3-4", "-w", "1 2 1 3 4 3", "--parity", "--precedence", "revlex"):
+        "28524accb4e2157b8b7c8741aa5f33c98e040dcfb5d3ecdd1243b8ab2f3ab68d",
+    ("reduce", "-g", "A2", "-w", "1 2 1 2", "--format", "text"):
+        "cf84a2294d5fe5a36c3705fa2086aa194a9a3c7e61f12b47a3bd52c48ae30d92",
+    ("enumerate", "-n", "6"):
+        "49c95914a8c3a4d98d18b79c53f1b326da044e6106124af85ced8a2633e6ef46",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    list(GOLDEN_STDOUT),
+    ids=["w0_A5", "D4_verify_text", "E6_dot", "two_paths_revlex", "reduce_A2", "enumerate_6"],
+)
+def test_stdout_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

@@ -168,6 +168,27 @@ def test_reflection_matrix_matches_reflect():
             assert col == reflect(A3, s, simple_root(A3, t))
 
 
+@pytest.mark.parametrize("spec", ["A1", "D4", "E8", "1-2,2-3,1-3"])
+def test_reflection_matrix_is_the_cartan_row_definition(spec):
+    g = parse_graph(spec)
+    n = g.n
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # Symmetrized Cartan matrix: 2 on the diagonal, -1 per edge.
+    cartan = [[0] * n for _ in range(n)]
+    for i in range(n):
+        cartan[i][i] = 2
+    for s, t in g.edges:
+        cartan[s - 1][t - 1] = cartan[t - 1][s - 1] = -1
+    for s in g.generators():
+        m = reflection_matrix(g, s)
+        expected = tuple(
+            tuple(identity[i][j] - (cartan[s - 1][j] if i == s - 1 else 0) for j in range(n))
+            for i in range(n)
+        )
+        assert m == expected
+        assert mat_mul(m, m) == identity
+
+
 def test_mat_mul_against_action():
     m = mat_mul(reflection_matrix(A2, 1), reflection_matrix(A2, 2))
     for t in A2.generators():

@@ -13,6 +13,7 @@ from freebraid import (
     CapExceededError,
     ParseError,
     count_classes_and_check_bound,
+    element_of,
     inversion_triples,
     is_freely_braided,
     parse_graph,
@@ -71,6 +72,29 @@ def test_perm_to_element_lengths():
     assert perm_to_element((1, 2, 3)).length == 0
     assert perm_to_element((2, 1)).length == 1
     assert perm_to_element((4, 3, 2, 1)).length == 6
+
+
+def _bubble_sort_word(p):
+    """The letters of the swaps that bubble-sort p to the identity, last first."""
+    q, letters = list(p), []
+    moved = True
+    while moved:
+        moved = False
+        for i in range(len(q) - 1):
+            if q[i] > q[i + 1]:
+                q[i], q[i + 1] = q[i + 1], q[i]
+                letters.append(i + 1)
+                moved = True
+    return tuple(reversed(letters))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perm_to_element_matches_the_bubble_sort_word(n):
+    g = parse_graph(f"A{n - 1}")
+    for p in all_permutations(n):
+        w, expected = perm_to_element(p), element_of(g, _bubble_sort_word(p))
+        assert w == expected
+        assert w.length == expected.length
 
 
 def test_perm_element_roundtrip_exhaustive_s4():
