@@ -415,8 +415,9 @@ class _Engine:
         return out
 
 
-# The engines of the most recently used (element, cap) pairs.
-_built = functools.lru_cache(maxsize=8)(_Engine)
+# The engine of the last (element, cap) pair: every use within one fb command
+# passes the same pair, and a kept engine can pin tens of MB.
+_built = functools.lru_cache(maxsize=1)(_Engine)
 
 
 def _engine(w: Element, cap: int | None = None) -> _Engine:

@@ -10,6 +10,7 @@ verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,6 @@ from .coxeter import (
 )
 from .classes import (
     PRECEDENCES,
-    _too_many,
     class_partition,
     commutation_graph,
     count_classes_and_check_bound,
@@ -41,9 +41,10 @@ from .classes import (
     to_dot,
 )
 from .oracle import oracle_classes_by_bfs, oracle_contractible_triples, oracle_reduced_words
-from .triples import _disjoint, contractible_triples, inversion_triples
+from .triples import contractible_triples, inversion_triples, is_freely_braided
 from .rootseq import root_sequence
 from .typea import (
+    DEFAULT_MAX_ENUM_RANK,
     class_counts,
     enumerate_freely_braided,
     format_permutation,
@@ -57,8 +58,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
 
-DEFAULT_ENUM_RANK_LIMIT = 6
-
 
 class VerificationError(RuntimeError):
     """Production and oracle disagreed under --verify."""
@@ -70,15 +69,18 @@ def _emit(doc: dict, args) -> None:
 
 
 def _cap(args) -> int:
-    if args.max_words is not None:
-        return args.max_words
-    env = os.environ.get("FB_MAX_WORDS")
-    if env is not None:
+    source, cap = "--max-words", args.max_words
+    if cap is None:
+        source, env = "FB_MAX_WORDS", os.environ.get("FB_MAX_WORDS")
+        if env is None:
+            return DEFAULT_SEQUENCE_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ParseError(f"bad FB_MAX_WORDS value {env!r}") from None
-    return DEFAULT_SEQUENCE_CAP
+    if cap < 1:
+        raise ParseError(f"{source} must be at least 1, not {cap}")
+    return cap
 
 
 def _element(args) -> tuple[Element, dict]:
@@ -175,7 +177,7 @@ def cmd_analyze(args) -> int:
         "class_count": bound.classes,
         "bound_holds": bound.bound_holds,
         "achieves_bound": bound.achieves_bound,
-        "freely_braided": _disjoint(contractible),
+        "freely_braided": is_freely_braided(w, cap),
         "precedence": precedence.name,
         "triples": [
             {
@@ -259,13 +261,10 @@ def cmd_enumerate(args) -> int:
         raise ParseError("rank must be at least 1")
     if args.n > args.limit:
         raise CapExceededError(f"rank {args.n} exceeds the enumeration limit {args.limit}")
-    cap = _cap(args)
     rows = []
     for k in range(1, args.n + 1):
         count, _ = enumerate_freely_braided(k, limit=args.limit)
         classes = class_counts(k)
-        if max(classes.values()) > cap:
-            raise _too_many(cap)
         # On a path every inversion triple is contractible, so N(p) counts them all.
         achievers = sum(1 for p, c in classes.items() if c == 2 ** inversion_triple_count(p))
         rows.append({"n": k, "freely_braided": count, "bound_achievers": achievers})
@@ -285,21 +284,18 @@ def _add_element_args(p: argparse.ArgumentParser, perm: bool = True) -> None:
         p.add_argument("--perm", help="one-line permutation (implies the matching path graph)")
 
 
-def _add_common(
-    p: argparse.ArgumentParser, max_words: bool = True, precedence: bool = True
-) -> None:
-    if max_words:
+def _add_common(p: argparse.ArgumentParser, classes: bool = True) -> None:
+    if classes:
         p.add_argument("--max-words", type=int, default=None,
                        help="cap on commutation classes, and on reduced words where words "
-                            "are listed (--verify); enumerate counts every permutation's "
-                            "classes without listing them and exits 3 if one has more "
-                            "(w0 of S8 has 1,232,944); overrides FB_MAX_WORDS")
+                            "are listed (--verify); overrides FB_MAX_WORDS")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    if precedence:
+    if classes:
         p.add_argument("--precedence", choices=tuple(PRECEDENCES), default="lex",
                        help="root order used for signature bits")
 
 
+@functools.lru_cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fb", description="Root-sequence calculus for simply laced Coxeter groups."
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce a word; print inversion set and root sequence")
     _add_element_args(p, perm=False)
-    _add_common(p, max_words=False, precedence=False)
+    _add_common(p, classes=False)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("analyze", help="triples, classes, signatures, bound check")
@@ -327,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="type-A counts: freely braided vs bound achievers")
     p.add_argument("--type", default="A", help="Coxeter family (only A)")
     p.add_argument("-n", type=int, required=True, help="largest rank to tabulate")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUM_RANK_LIMIT,
+    p.add_argument("--limit", type=int, default=DEFAULT_MAX_ENUM_RANK,
                    help="largest rank the table may request")
-    _add_common(p, precedence=False)
+    _add_common(p, classes=False)
     p.set_defaults(func=cmd_enumerate)
     return parser
 

@@ -61,8 +61,10 @@ Word = tuple[int, ...]
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-# Guards for the enumeration entry points: a cap on how many root sequences
-# may be collected, and a cap on the length of words we agree to enumerate.
+# Guards for the enumeration entry points.  The sequence cap bounds three
+# things: commutation classes, the down-sets of one size that the class-size
+# DP holds, and reduced words where words are listed.  The length cap bounds
+# the words we agree to enumerate.
 DEFAULT_SEQUENCE_CAP = 10**6
 DEFAULT_MAX_WORD_LENGTH = 64
 

@@ -12,8 +12,6 @@ contractible triple into a consecutive block.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .coxeter import Element, Root, is_path_forest, pairing
 from .rootseq import InversionTriple, RootSequence, inversion_set
 from .classes import _engine
@@ -70,18 +68,11 @@ def contractible_triples(w: Element, cap: int | None = None) -> frozenset[Invers
     return frozenset(_engine(w, cap).labels)
 
 
-def _disjoint(triples: Iterable[InversionTriple]) -> bool:
-    seen: set[Root] = set()
-    for t in triples:
-        if seen & {t.low, t.mid, t.high}:
-            return False
-        seen.update((t.low, t.mid, t.high))
-    return True
-
-
 def is_freely_braided(w: Element, cap: int | None = None) -> bool:
-    """True iff the contractible triples of w are pairwise disjoint."""
-    return _disjoint(contractible_triples(w, cap=cap))
+    """True iff the contractible triples of w are pairwise disjoint, i.e. the
+    N of them hold 3N distinct roots."""
+    triples = contractible_triples(w, cap=cap)
+    return len({r for t in triples for r in (t.low, t.mid, t.high)}) == 3 * len(triples)
 
 
 def _migrate(g, seq: list[Root], i: int, target: int) -> None:

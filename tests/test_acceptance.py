@@ -1,7 +1,9 @@
 """Acceptance suite: one printed pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
-their runtimes.  Criterion 11 is exploratory: it records outcomes and
+their runtimes.  Criterion 11 has two tests: an exhaustive one that asserts,
+on every element of D4, that bound achievers are exactly the freely braided
+elements, and an exploratory one on D4/D5 samples that records outcomes and
 flags counterexamples loudly instead of asserting them away.
 """
 

@@ -279,6 +279,13 @@ def test_one_command_builds_one_engine(argv, capsys):
     assert freebraid.classes._built.cache_info().misses == 1
 
 
+def test_the_engine_cache_holds_one_engine():
+    freebraid.classes._built.cache_clear()
+    enumerate_classes(perm_to_element((4, 3, 2, 1)))
+    enumerate_classes(perm_to_element((5, 4, 3, 2, 1)))
+    assert freebraid.classes._built.cache_info().currsize == 1
+
+
 def test_path_forests_skip_the_engine():
     w = perm_to_element(tuple(range(8, 0, -1)))  # 1,232,944 classes, above the default cap
     assert len(contractible_triples(w)) == comb(8, 3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
@@ -217,8 +218,9 @@ def test_enumerate_text(capsys):
 
 
 def test_enumerate_rank_limit(capsys):
-    code, _, err = run(capsys, "enumerate", "-n", "7")
+    code, _, err = run(capsys, "enumerate", "-n", "9")
     assert code == EXIT_CAP
+    assert "rank 9 exceeds the enumeration limit 8" in err
     code, _, err = run(capsys, "enumerate", "-n", "0")
     assert code == EXIT_PARSE
     code, _, err = run(capsys, "enumerate", "--type", "B", "-n", "2")
@@ -252,6 +254,20 @@ def test_flag_overrides_env_cap(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("flag", ["0", "-5"])
+def test_cap_flag_below_one_is_a_parse_error(flag, capsys):
+    code, _, err = run(capsys, "analyze", "-g", "A2", "-w", "1", "--max-words", flag)
+    assert code == EXIT_PARSE
+    assert f"--max-words must be at least 1, not {flag}" in err
+
+
+def test_env_cap_below_one_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("FB_MAX_WORDS", "0")
+    code, _, err = run(capsys, "graph", "-g", "A2", "-w", "1")
+    assert code == EXIT_PARSE
+    assert "FB_MAX_WORDS must be at least 1, not 0" in err
+
+
 def test_bad_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("FB_MAX_WORDS", "many")
     code, _, err = run(capsys, "analyze", "-g", "A2", "-w", "1")
@@ -271,12 +287,28 @@ def test_threads_flag_validated(capsys):
         ["reduce", "-g", "A2", "-w", "1 2", "--precedence", "revlex"],
         ["reduce", "-g", "A2", "-w", "1 2", "--max-words", "5"],
         ["enumerate", "-n", "3", "--precedence", "revlex"],
+        ["enumerate", "-n", "4", "--max-words", "5"],
     ],
 )
 def test_flags_a_subcommand_does_not_take_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["reduce", "-g", "A2", "-w", "1"]) == EXIT_OK
+    assert main(["enumerate", "-n", "2"]) == EXIT_OK
+    assert built.count("fb") == 1
 
 
 def test_verify_failure_exit(capsys, monkeypatch):

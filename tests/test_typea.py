@@ -18,7 +18,7 @@ from freebraid import (
     is_freely_braided,
     parse_graph,
 )
-from freebraid.cli import EXIT_CAP, EXIT_OK, main
+from freebraid.cli import EXIT_OK, main
 from freebraid.typea import (
     FREELY_BRAIDED_OBSTRUCTIONS,
     class_counts,
@@ -251,7 +251,10 @@ def test_enumerate_rank_7_columns_agree(capsys):
     assert [r["bound_achievers"] for r in rows] == expected
 
 
-def test_enumerate_exits_on_the_class_cap(capsys):
-    # w0 of S4 has 8 commutation classes.
-    assert main(["enumerate", "-n", "4", "--max-words", "5"]) == EXIT_CAP
-    assert "more than 5 commutation classes (partial count: 6)" in capsys.readouterr().err
+def test_enumerate_rank_8_needs_no_flag(capsys):
+    """w0 of S8 has 1,232,944 classes; counting them is no reason to stop."""
+    assert main(["enumerate", "-n", "8"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    expected = [1, 2, 6, 20, 71, 260, 971, 3674]
+    assert [r["freely_braided"] for r in rows] == expected
+    assert [r["bound_achievers"] for r in rows] == expected
