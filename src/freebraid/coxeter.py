@@ -10,11 +10,19 @@ A group element w is stored as its column images: the roots w(a_s), one per
 generator s, which together are its matrix on root coordinates (as in
 Casselman, Machine calculations in Weyl groups, 1994).  Every word
 operation is a right multiplication by one generator, and w*s differs from w
-in the columns of s and its neighbours only (``_step``), so one letter costs
-O(n * deg(s)) integer additions.  Lengths come from the descent test
-l(ws) > l(w) exactly when w(a_s) is a positive root (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, 4.4).  ``reflection_matrix`` and
-``mat_mul`` stay as the definitions that tests compare against.
+in the columns of s and its neighbours only (``_step``).  Lengths come from
+the descent test l(ws) > l(w) exactly when w(a_s) is a positive root
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 4.4).
+
+On a graph of finite type the word-calculus loops pack each column into
+one int, the sum of c_i * 2^(4i) (``_calculus``).  Packing is linear, so a
+column step is one int addition per neighbour and one negation.  A root's
+coefficients share one sign, so its packed int has the root's sign, and a
+descent test is a sign test.  Four bits decode exactly, as coefficients
+are at most 6 (the highest root of E8).  Elsewhere coefficients are
+unbounded, and the loops step the root tuples themselves.  Results are
+tuples either way; ``reflect``, ``reflection_matrix`` and ``mat_mul`` stay
+the tuple definitions that tests compare against.
 """
 
 from __future__ import annotations
@@ -284,6 +292,24 @@ class Element:
     length: int = field(compare=False)
 
 
+@lru_cache(maxsize=256)
+def _is_finite_type(g: CoxeterGraph) -> bool:
+    """True iff the group is finite: its Cartan matrix is positive definite
+    (Humphreys, Reflection Groups and Coxeter Groups, 6.4), i.e. every
+    leading principal minor, a pivot of fraction-free (Bareiss)
+    elimination, is positive."""
+    n, prev = g.n, 1
+    a = [[2 * (i == j) - (j + 1 in g.neighbors[i]) for j in range(n)] for i in range(n)]
+    for p in range(n):
+        if a[p][p] <= 0:
+            return False
+        for i in range(p + 1, n):
+            for j in range(p + 1, n):
+                a[i][j] = (a[p][p] * a[i][j] - a[i][p] * a[p][j]) // prev
+        prev = a[p][p]
+    return True
+
+
 def _step(g: CoxeterGraph, cols: list[Root], s: int) -> bool:
     """Replace the columns of w by those of w*s; True iff s was an ascent of w.
 
@@ -305,6 +331,54 @@ def _least_descent(cols: list[Root]) -> int:
     raise ValueError("columns are not those of a Coxeter group element")
 
 
+@lru_cache(maxsize=4096)
+def _pack(r: Root) -> int:
+    return sum(c << (4 * i) for i, c in enumerate(r))
+
+
+@lru_cache(maxsize=4096)
+def _unpack(p: int, n: int) -> Root:
+    """Decode a root packed at 4 bits: its digits, read as signed, low end first."""
+    out = []
+    for _ in range(n):
+        out.append((p + 8) % 16 - 8)
+        p = (p - out[-1]) >> 4
+    return tuple(out)
+
+
+def _step_packed(g: CoxeterGraph, cols: list[int], s: int) -> bool:
+    """``_step`` on packed columns: one int addition per neighbour."""
+    c = cols[s - 1]
+    for t in g.neighbors[s - 1]:
+        cols[t - 1] += c
+    cols[s - 1] = -c
+    return c > 0
+
+
+def _least_descent_packed(cols: list[int]) -> int:
+    for s, c in enumerate(cols, 1):
+        if c < 0:
+            return s
+    raise ValueError("columns are not those of a Coxeter group element")
+
+
+# How the word-calculus loops hold columns, as the functions (encode,
+# decode, step, least_descent): packed on a graph of finite type, the root
+# tuples themselves elsewhere (``_calculus``).  The loops never look inside
+# a column, so their results are the same tuples either way.
+_PACKED = (
+    lambda roots: [_pack(r) for r in roots],
+    lambda cols, n: tuple(_unpack(p, n) for p in cols),
+    _step_packed,
+    _least_descent_packed,
+)
+_TUPLES = (list, lambda cols, n: tuple(cols), _step, _least_descent)
+
+
+def _calculus(g: CoxeterGraph):
+    return _PACKED if _is_finite_type(g) else _TUPLES
+
+
 def identity_element(g: CoxeterGraph) -> Element:
     return Element(g, _identity(g.n), 0)
 
@@ -316,11 +390,12 @@ def element_of(g: CoxeterGraph, word: Word) -> Element:
     the number of descents met on the way.
     """
     _check_word(g, word)
-    cols = list(_identity(g.n))
+    encode, decode, step, _ = _calculus(g)
+    cols = encode(_identity(g.n))
     length = 0
     for s in word:
-        length += 1 if _step(g, cols, s) else -1
-    return Element(g, tuple(cols), length)
+        length += 1 if step(g, cols, s) else -1
+    return Element(g, decode(cols, g.n), length)
 
 
 def is_right_descent(w: Element, s: int) -> bool:
@@ -331,27 +406,45 @@ def is_right_descent(w: Element, s: int) -> bool:
 
 def times_generator(w: Element, s: int) -> Element:
     """Right-multiply by one generator, tracking length exactly."""
-    _check_letter(w.graph, s)
-    cols = list(w.columns)
-    up = _step(w.graph, cols, s)
-    return Element(w.graph, tuple(cols), w.length + (1 if up else -1))
+    g = w.graph
+    _check_letter(g, s)
+    encode, decode, step, _ = _calculus(g)
+    cols = encode(w.columns)
+    up = step(g, cols, s)
+    return Element(g, decode(cols, g.n), w.length + (1 if up else -1))
 
 
-def _peel(w: Element) -> tuple[list[Root], list[Root]]:
+def _peel(w: Element) -> tuple[list, list]:
     """Peel least right descents s_1, s_2, ... off w down to e in 2L column
     steps.  Returns the columns of w^-1, built alongside, and the root
     sequence of the word (..., s_2, s_1): entry i is column s_i of the
-    running inverse s_1 ... s_(i-1), as root_sequence computes it."""
+    running inverse s_1 ... s_(i-1), as root_sequence computes it.  Both
+    are held as ``_calculus`` encodes them."""
     g = w.graph
-    cols = list(w.columns)
-    inv = list(_identity(g.n))
+    encode, _, step, least_descent = _calculus(g)
+    cols = encode(w.columns)
+    inv = encode(_identity(g.n))
     roots = []
     for _ in range(w.length):
-        s = _least_descent(cols)
+        s = least_descent(cols)
         roots.append(inv[s - 1])
-        _step(g, cols, s)
-        _step(g, inv, s)
+        step(g, cols, s)
+        step(g, inv, s)
     return inv, roots
+
+
+def _inversion_keys(w: Element) -> dict[int, Root]:
+    """The inversion set of w, keyed by ints that add like the roots: the
+    key of a sum of two of its roots is the sum of their keys.  A packed
+    root already is such a key, as a sum of two roots of a finite type has
+    coefficients at most 12 < 2^4; tuples are packed one bit wider than
+    their largest coefficient."""
+    g = w.graph
+    roots = _peel(w)[1]
+    if _is_finite_type(g):
+        return {p: _unpack(p, g.n) for p in roots}
+    k = max((max(r) for r in roots), default=0).bit_length() + 1
+    return {sum(c << (k * i) for i, c in enumerate(r)): r for r in roots}
 
 
 def canonical_word(w: Element) -> Word:
@@ -362,14 +455,16 @@ def canonical_word(w: Element) -> Word:
     Left descents of w are right descents of its inverse.  Peeling right
     descents off w down to e builds the inverse alongside; peeling least
     right descents off the inverse then spells the word.  Cost: 3L column
-    steps and L descent scans of O(n^2) each, for length L and rank n.
+    steps and 2L descent scans, for length L; on a graph of finite type a
+    scan is O(n) int compares, for rank n, elsewhere O(n^2).
     """
     g = w.graph
-    inv, _ = _peel(w)
+    _, _, step, least_descent = _calculus(g)
+    inv = _peel(w)[0]
     out: list[int] = []
     for _ in range(w.length):
-        s = _least_descent(inv)
-        _step(g, inv, s)
+        s = least_descent(inv)
+        step(g, inv, s)
         out.append(s)
     return tuple(out)
 
@@ -382,20 +477,23 @@ def reduce_word(g: CoxeterGraph, word: Word) -> Word:
     the exchange condition names the letter to delete: walking back from the
     end, the first position i at which the letters after i map a_s to the
     simple root of letter i (for a reduced prefix it is unique).  Either
-    way the prefix's element becomes u*s, one column step.  Cost:
-    O(n * deg) per letter, plus O(L * n) for each deletion's walk back
+    way the prefix's element becomes u*s, one column step.  Cost: one
+    column step per letter (on a graph of finite type a sign test and
+    O(deg) int additions), plus O(L * n) for each deletion's walk back
     over a prefix of length L.
     """
     _check_word(g, word)
-    cols = list(_identity(g.n))
+    simple = _identity(g.n)
+    encode, _, step, _ = _calculus(g)
+    cols = encode(simple)
     prefix: list[int] = []
     for s in word:
-        if _step(g, cols, s):
+        if step(g, cols, s):
             prefix.append(s)
             continue
-        u = simple_root(g, s)
+        u = simple[s - 1]
         for i in range(len(prefix) - 1, -1, -1):
-            if u == simple_root(g, prefix[i]):
+            if u == simple[prefix[i] - 1]:
                 break
             u = reflect(g, prefix[i], u)
         del prefix[i]
@@ -406,8 +504,9 @@ def is_reduced(g: CoxeterGraph, word: Word) -> bool:
     """True iff every letter is an ascent of the prefix before it; stops at
     the first descent."""
     _check_word(g, word)
-    cols = list(_identity(g.n))
-    return all(_step(g, cols, s) for s in word)
+    encode, _, step, _ = _calculus(g)
+    cols = encode(_identity(g.n))
+    return all(step(g, cols, s) for s in word)
 
 
 def is_path_forest(g: CoxeterGraph) -> bool:

@@ -18,10 +18,10 @@ from .coxeter import (
     Element,
     Root,
     Word,
+    _calculus,
     _check_word,
     _identity,
     _peel,
-    _step,
     pairing,
 )
 
@@ -85,23 +85,26 @@ def root_sequence(g: CoxeterGraph, word: Word) -> RootSequence:
     Entry i is v(a_s), where s is the i-th letter from the right and v is
     the product of the i - 1 letters after it, last letter first.  One pass
     over the reversed word keeps v as its columns, reads entry i off column
-    s and steps v to v*s: O(L * n * deg) for L letters.  The word is reduced
-    exactly when every such step is an ascent, i.e. every entry is positive.
+    s and steps v to v*s: L column steps, each O(deg) int additions on a
+    graph of finite type.  The word is reduced exactly when every such step
+    is an ascent, i.e. every entry is positive.
     """
     _check_word(g, word)
-    cols = list(_identity(g.n))
+    encode, decode, step, _ = _calculus(g)
+    cols = encode(_identity(g.n))
     roots = []
     for s in reversed(word):
         roots.append(cols[s - 1])
-        if not _step(g, cols, s):
+        if not step(g, cols, s):
             raise ValueError("root sequences are defined only for reduced words")
-    return RootSequence(g, tuple(roots))
+    return RootSequence(g, decode(roots, g.n))
 
 
 def inversion_set(w: Element) -> frozenset[Root]:
     """Positive roots sent negative by w: the root sequence of the reduced
     word that one right-descent peel of w reads off (2L column steps)."""
-    return frozenset(_peel(w)[1])
+    decode = _calculus(w.graph)[1]
+    return frozenset(decode(_peel(w)[1], w.graph.n))
 
 
 def word_of_root_sequence(r: RootSequence) -> Word:
@@ -113,14 +116,15 @@ def word_of_root_sequence(r: RootSequence) -> Word:
     any invalid input is rejected.
     """
     g = r.graph
-    cols = list(_identity(g.n))
+    encode, _, step, _ = _calculus(g)
+    cols = encode(_identity(g.n))
     rev: list[int] = []
-    for root in r.roots:
+    for root in encode(map(tuple, r.roots)):
         try:
             s = cols.index(root) + 1
         except ValueError:
             raise ValueError("not a valid root sequence: an entry is no image of a simple root") from None
-        _step(g, cols, s)
+        step(g, cols, s)
         rev.append(s)
     word = tuple(reversed(rev))
     try:

@@ -12,7 +12,7 @@ contractible triple into a consecutive block.
 
 from __future__ import annotations
 
-from .coxeter import Element, Root, is_path_forest, pairing
+from .coxeter import Element, Root, _inversion_keys, is_path_forest, pairing
 from .rootseq import InversionTriple, RootSequence, inversion_set
 from .classes import _engine
 
@@ -29,21 +29,17 @@ __all__ = [
 def inversion_triples(w: Element) -> frozenset[InversionTriple]:
     """Every triple {low, low + high, high} inside the inversion set of w.
 
-    Sums are tested on packed integers: root c is packed as the sum of
-    c_i * 2^(k*i), with k one bit wider than the largest coefficient, so
-    adding two packed roots never carries and gives the packed sum.
+    One peel of w gives the roots under int keys that add like the roots
+    (``coxeter._inversion_keys``), so each sum a + b, a lex-before b, is
+    matched against the roots as an int.
     """
-    phi = sorted(inversion_set(w))
-    k = max((max(r) for r in phi), default=0).bit_length() + 1
-    packed = [sum(c << (k * i) for i, c in enumerate(r)) for r in phi]
-    root_of = dict(zip(packed, phi))
-    out = set()
-    for i, a in enumerate(packed):
-        for j in range(i + 1, len(packed)):
-            mid = root_of.get(a + packed[j])
-            if mid is not None:
-                out.add(InversionTriple(phi[i], mid, phi[j]))
-    return frozenset(out)
+    root_of = _inversion_keys(w)
+    keys = sorted(root_of, key=root_of.__getitem__)
+    return frozenset(
+        InversionTriple(root_of[a], root_of[mid], root_of[mid - a])
+        for i, a in enumerate(keys)
+        for mid in root_of.keys() & map(a.__add__, keys[i + 1:])
+    )
 
 
 def _validated(w: Element, t: InversionTriple) -> InversionTriple:

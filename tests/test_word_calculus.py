@@ -4,11 +4,16 @@ element_of, reduce_word, root_sequence, word_of_root_sequence and
 canonical_word all step column images one generator at a time.  Here they
 are checked against full matrix products, root sequences built from their
 definition with act, the oracle's descent recursion on matrices, and counts
-of positive roots and A2 subsystems from the literature.
+of positive roots and A2 subsystems from the literature.  Columns are
+packed at 4 bits a coefficient on graphs of finite type only; the finiteness
+test, the packing, and long words on infinite graphs, whose coefficients
+outgrow 4 bits, are checked on their own.
 """
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 from freebraid import (
     canonical_word,
     element_of,
+    identity_element,
     inversion_set,
     inversion_triples,
     is_positive_root,
@@ -26,10 +32,12 @@ from freebraid import (
     parse_graph,
     reduce_word,
     root_sequence,
+    times_generator,
     word_of_root_sequence,
 )
-from freebraid.coxeter import mat_mul, reflection_matrix
+from freebraid.coxeter import _is_finite_type, _pack, _unpack, mat_mul, reflection_matrix
 from freebraid.oracle import oracle_reduced_words, oracle_root_sequence
+from conftest import all_positive_roots
 
 # Finite, affine (the triangle is A~2), cyclic and disconnected graphs.
 GRAPHS = tuple(
@@ -142,3 +150,99 @@ def test_w0_roots_and_triples_match_literature(name):
     assert w0.length == positive_roots
     assert all(is_right_descent(w0, s) for s in g.generators())
     assert len(inversion_triples(w0)) == a2_subsystems
+
+
+# --- packed roots, and long words on infinite graphs ---
+
+FINITE_TYPE = (
+    *(f"A{k}" for k in range(1, 10)),
+    *(f"D{k}" for k in range(4, 10)),
+    "E6", "E7", "E8",
+    "1-2,3-4,4-5,4-6",  # A2 and D4, disjoint
+)
+INFINITE_TYPE = (
+    "1-2,2-3,1-3",  # triangle, affine A2
+    "1-2,2-3,3-4,1-4",  # 4-cycle, affine A3
+    "1-2,1-3,1-4,1-5",  # star, affine D4
+    "1-2,2-3,1-4,4-5,1-6,6-7",  # arms 2,2,2: affine E6
+    "1-2,1-3,3-4,1-5,5-6,6-7,7-8,8-9",  # T(2,3,6): affine E8
+    "1-2,1-3,1-4,2-3,2-4,3-4",  # K4
+)
+
+
+@pytest.mark.parametrize("spec", FINITE_TYPE)
+def test_finite_type_graphs_are_finite(spec):
+    assert _is_finite_type(parse_graph(spec))
+
+
+@pytest.mark.parametrize("spec", INFINITE_TYPE)
+def test_infinite_type_graphs_are_not_finite(spec):
+    assert not _is_finite_type(parse_graph(spec))
+
+
+@pytest.mark.parametrize("name", ["A8", "D8", "E8"])
+def test_pack_then_unpack_returns_every_root_at_width_4(name):
+    g = parse_graph(name)
+    positive = sorted(all_positive_roots(g))
+    roots = positive + [tuple(-c for c in r) for r in positive]
+    assert [_unpack(_pack(r), g.n) for r in roots] == roots
+
+
+# Reduced-word lengths that carry some coefficient past 15 (4 bits): the
+# affine triangle and 4-cycle grow linearly, K4 exponentially.
+WIDE = {"1-2,2-3,1-3": 60, "1-2,2-3,3-4,1-4": 120, "1-2,1-3,1-4,2-3,2-4,3-4": 40}
+
+
+def weak_order_walk(g, length: int, rng: random.Random):
+    """A random reduced word, by right ascents, and its element."""
+    w, word = identity_element(g), []
+    for _ in range(length):
+        s = rng.choice([s for s in g.generators() if not is_right_descent(w, s)])
+        w = times_generator(w, s)
+        word.append(s)
+    return tuple(word), w
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("spec", sorted(WIDE))
+def test_long_words_on_infinite_graphs(spec, seed):
+    g = parse_graph(spec)
+    rng = random.Random(f"{spec}:{seed}")
+    word, w = weak_order_walk(g, WIDE[spec], rng)
+    assert element_of(g, word) == w
+    assert w.length == len(word)
+    assert w.columns == tuple(zip(*matrix_product(g, word)))
+
+    seq = root_sequence(g, word)
+    assert seq == oracle_root_sequence(g, word)
+    assert max(c for r in seq.roots for c in r) > 15
+    assert word_of_root_sequence(seq) == word
+    assert inversion_set(w) == frozenset(seq.roots)
+
+    tail = tuple(rng.choice(g.generators()) for _ in range(4))
+    assert reduce_word(g, word) == word
+    shorter = reduce_word(g, word + tail + tail[::-1])
+    assert len(shorter) == len(word) and element_of(g, shorter) == w
+    canon = canonical_word(w)
+    assert canon <= word and is_reduced(g, canon) and element_of(g, canon) == w
+
+    roots = frozenset(seq.roots)
+    sums = {(a, tuple(x + y for x, y in zip(a, b)), b) for a in roots for b in roots if a < b}
+    assert {tuple(t) for t in inversion_triples(w)} == {t for t in sums if t[1] in roots}
+
+
+def test_affine_word_of_ten_thousand_letters_holds_small_roots():
+    """On the triangle (affine A2) coefficients grow linearly with length,
+    so the roots of a 10^4-letter word take a few MB, not a width per step."""
+    g = parse_graph("1-2,2-3,1-3")
+    word = (1, 2, 3) * 3334  # a power of a Coxeter element: reduced
+    tracemalloc.start()
+    try:
+        assert is_reduced(g, word)
+        assert reduce_word(g, word) == word
+        seq = root_sequence(g, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(c for r in seq.roots for c in r) == 5001
+    assert peak < 8 * 2**20
