@@ -199,8 +199,8 @@ def _check_letter(g: CoxeterGraph, s: int) -> None:
 
 
 def _check_word(g: CoxeterGraph, word: Word) -> None:
-    for s in word:
-        _check_letter(g, s)
+    if word and (min(word) < 1 or max(word) > g.n):
+        _check_letter(g, next(s for s in word if not 1 <= s <= g.n))
 
 
 def simple_root(g: CoxeterGraph, s: int) -> Root:
@@ -434,15 +434,10 @@ def _peel(w: Element) -> tuple[list, list]:
 
 
 def _inversion_keys(w: Element) -> dict[int, Root]:
-    """The inversion set of w, keyed by ints that add like the roots: the
-    key of a sum of two of its roots is the sum of their keys.  A packed
-    root already is such a key, as a sum of two roots of a finite type has
-    coefficients at most 12 < 2^4; tuples are packed one bit wider than
-    their largest coefficient."""
-    g = w.graph
+    """The inversion set of w on a graph of infinite type, keyed by ints that
+    add like the roots, i.e. packed one bit wider than their largest
+    coefficient."""
     roots = _peel(w)[1]
-    if _is_finite_type(g):
-        return {p: _unpack(p, g.n) for p in roots}
     k = max((max(r) for r in roots), default=0).bit_length() + 1
     return {sum(c << (k * i) for i, c in enumerate(r)): r for r in roots}
 

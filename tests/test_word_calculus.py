@@ -7,7 +7,10 @@ definition with act, the oracle's descent recursion on matrices, and counts
 of positive roots and A2 subsystems from the literature.  Columns are
 packed at 4 bits a coefficient on graphs of finite type only; the finiteness
 test, the packing, and long words on infinite graphs, whose coefficients
-outgrow 4 bits, are checked on their own.
+outgrow 4 bits, are checked on their own.  Inversion triples, looked up in
+a per-graph table of the positive roots' triples on graphs of finite type,
+are checked against a brute-force pair scan and the table against counts
+of A2 subsystems.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from freebraid import (
 )
 from freebraid.coxeter import _is_finite_type, _pack, _unpack, mat_mul, reflection_matrix
 from freebraid.oracle import oracle_reduced_words, oracle_root_sequence
-from conftest import all_positive_roots
+from freebraid.triples import _triple_table
+from conftest import all_positive_roots, group_by_length, random_elements
 
 # Finite, affine (the triangle is A~2), cyclic and disconnected graphs.
 GRAPHS = tuple(
@@ -150,6 +154,59 @@ def test_w0_roots_and_triples_match_literature(name):
     assert w0.length == positive_roots
     assert all(is_right_descent(w0, s) for s in g.generators())
     assert len(inversion_triples(w0)) == a2_subsystems
+
+
+# --- the table of positive-root triples, on graphs of finite type ---
+
+
+def brute_force_triples(w):
+    """Every (a, a + b, b) over pairs a < b of the inversion set, by tuples."""
+    roots = inversion_set(w)
+    sums = ((a, tuple(x + y for x, y in zip(a, b)), b) for a in roots for b in roots if a < b)
+    return {t for t in sums if t[1] in roots}
+
+
+def _elements_to_scan():
+    for name, max_length in (("A4", 10), ("D4", 12)):
+        g = parse_graph(name)
+        yield from (w for layer in group_by_length(g, max_length).values() for w in layer)
+    for seed, (name, max_length) in enumerate((("D5", 20), ("E6", 36), ("E7", 63), ("E8", 120))):
+        yield from random_elements(parse_graph(name), 25, max_length, seed)
+
+
+def test_inversion_triples_match_a_brute_force_pair_scan():
+    """All of A4 (120) and D4 (192), and seeded samples of D5, E6, E7, E8."""
+    elements = list(_elements_to_scan())
+    assert len(elements) == 120 + 192 + 4 * 25
+    for w in elements:
+        found = inversion_triples(w)
+        assert {tuple(t) for t in found} == brute_force_triples(w), w
+        assert all(t.low < t.high for t in found)
+
+
+@pytest.mark.parametrize("name", sorted(LITERATURE))
+def test_triple_table_holds_every_a2_subsystem(name):
+    """Read straight off the table, the triples of Phi+ are its A2
+    subsystems, each a true sum with low lex-before high."""
+    g = parse_graph(name)
+    table = _triple_table(g)
+    entries = [(m, a, b, t) for m, decompositions in table.items() for a, b, t in decompositions]
+    assert len(entries) == LITERATURE[name][1]
+    assert len({t for *_, t in entries}) == len(entries)
+    for m, a, b, t in entries:
+        assert (a, m, b) == (_pack(t.low), _pack(t.mid), _pack(t.high))
+        assert t.low < t.high
+        assert tuple(x + y for x, y in zip(t.low, t.high)) == t.mid
+    assert {r for *_, t in entries for r in t} <= all_positive_roots(g)
+
+
+def test_one_triple_table_is_built_per_graph():
+    _triple_table.cache_clear()
+    e6, d5 = parse_graph("E6"), parse_graph("D5")
+    for w in random_elements(e6, 10, 36, 3) + random_elements(d5, 10, 20, 4):
+        inversion_triples(w)
+    inversion_triples(element_of(parse_graph("E6"), (1, 3, 4)))
+    assert _triple_table.cache_info().misses == 2
 
 
 # --- packed roots, and long words on infinite graphs ---
