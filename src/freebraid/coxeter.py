@@ -434,12 +434,28 @@ def _peel(w: Element) -> tuple[list, list]:
 
 
 def _inversion_keys(w: Element) -> dict[int, Root]:
-    """The inversion set of w on a graph of infinite type, keyed by ints that
-    add like the roots, i.e. packed one bit wider than their largest
-    coefficient."""
+    """The inversion set of w, keyed by ints that add like the roots: the
+    key of a sum of two of its roots is the sum of their keys.  A packed
+    root already is such a key, as a sum of two roots of a finite type has
+    coefficients at most 12 < 2^4; tuples are packed one bit wider than
+    their largest coefficient."""
+    g = w.graph
     roots = _peel(w)[1]
+    if _is_finite_type(g):
+        return {p: _unpack(p, g.n) for p in roots}
     k = max((max(r) for r in roots), default=0).bit_length() + 1
     return {sum(c << (k * i) for i, c in enumerate(r)): r for r in roots}
+
+
+def _positive_roots(g: CoxeterGraph) -> dict[int, Root]:
+    """The positive roots of a graph of finite type, keyed as ``_peel`` and
+    ``_inversion_keys`` key them there.  They are the inversion set of w0:
+    the positive columns met stepping ascents from e until none is left."""
+    cols, root_of = [_pack(r) for r in _identity(g.n)], {}
+    while s := next((s for s, c in enumerate(cols, 1) if c > 0), 0):
+        root_of[cols[s - 1]] = _unpack(cols[s - 1], g.n)
+        _step_packed(g, cols, s)
+    return root_of
 
 
 def canonical_word(w: Element) -> Word:

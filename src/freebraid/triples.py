@@ -9,17 +9,20 @@ braided when its contractible triples are pairwise disjoint, and then every
 class has a representative in which short moves alone push each
 contractible triple into a consecutive block.
 
-On a graph of finite type an element's triples are looked up in a per-graph
-table of the positive roots' triples: at most 1,120 reads, on w0(E8), not a
-sum per pair of inversion roots.  Elsewhere the pairs are scanned.
+On a graph of finite type of rank at most 8 an element's triples are looked
+up in a per-graph table of the positive roots' triples: at most 1,120 reads,
+on w0(E8), not a sum per pair of inversion roots.  The table is built once
+per graph, from at most 120 roots (E8).  Elsewhere the pairs of the
+inversion set are scanned, so the cost is set by the element's length, not
+by a positive root system that grows with the rank.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coxeter import (CoxeterGraph, Element, Root, _identity, _inversion_keys, _is_finite_type,
-                      _pack, _peel, _step_packed, _unpack, is_path_forest, pairing)
+from .coxeter import (CoxeterGraph, Element, Root, _inversion_keys, _is_finite_type, _peel,
+                      _positive_roots, is_path_forest, pairing)
 from .rootseq import InversionTriple, RootSequence, inversion_set
 from .classes import _engine
 
@@ -40,16 +43,19 @@ def _sum_pairs(root_of: dict[int, Root]):
     return ((a, m) for i, a in enumerate(keys) for m in root_of.keys() & map(a.__add__, keys[i + 1:]))
 
 
+# A table costs one pair scan of the positive roots per graph.  Up to rank 8
+# there are at most 120 of them (E8, about 4 ms); above it only types A and
+# D and their unions remain, whose positive roots grow as the rank squared,
+# so the scan would outgrow a short element's own (A60: 1,830 roots).
+_TABLE_MAX_RANK = 8
+
+
 @lru_cache(maxsize=32)
 def _triple_table(g: CoxeterGraph) -> dict[int, tuple[tuple[int, int, InversionTriple], ...]]:
-    """The triples of the positive roots of a graph of finite type, as (low,
-    high, triple) under the middle root, keys packed: packed roots add like
-    roots, as a sum of two has coefficients at most 12 < 2^4.  The positive
-    roots are the positive columns met stepping ascents from e up to w0."""
-    cols, root_of, table = [_pack(r) for r in _identity(g.n)], {}, {}
-    while s := next((s for s, c in enumerate(cols, 1) if c > 0), 0):
-        root_of[cols[s - 1]] = _unpack(cols[s - 1], g.n)
-        _step_packed(g, cols, s)
+    """The triples of the positive roots of a graph of finite type, as (low
+    key, high key, triple) under the middle root's key: one ``_sum_pairs``
+    over ``coxeter._positive_roots``."""
+    root_of, table = _positive_roots(g), {}
     for a, m in _sum_pairs(root_of):
         table.setdefault(m, []).append((a, m - a, InversionTriple(root_of[a], root_of[m], root_of[m - a])))
     return {m: tuple(entries) for m, entries in table.items()}
@@ -57,11 +63,13 @@ def _triple_table(g: CoxeterGraph) -> dict[int, tuple[tuple[int, int, InversionT
 
 def inversion_triples(w: Element) -> frozenset[InversionTriple]:
     """Every triple {low, low + high, high} inside the inversion set of w: on
-    a graph of finite type, each inversion root's decompositions read off
-    ``_triple_table`` (at most 1,120 reads, on E8); elsewhere ``_sum_pairs``
-    over ``coxeter._inversion_keys`` (L(L-1)/2 int sums for length L)."""
-    if _is_finite_type(w.graph):
-        table, inv = _triple_table(w.graph), set(_peel(w)[1])
+    a graph of finite type of rank at most 8, each inversion root's
+    decompositions read off ``_triple_table`` (at most 1,120 reads, on E8);
+    elsewhere ``_sum_pairs`` over ``coxeter._inversion_keys`` (L(L-1)/2 int
+    sums for length L)."""
+    g = w.graph
+    if g.n <= _TABLE_MAX_RANK and _is_finite_type(g):
+        table, inv = _triple_table(g), set(_peel(w)[1])
         return frozenset([t for m in inv for a, b, t in table.get(m, ()) if a in inv and b in inv])
     root_of = _inversion_keys(w)
     return frozenset(InversionTriple(root_of[a], root_of[m], root_of[m - a]) for a, m in _sum_pairs(root_of))

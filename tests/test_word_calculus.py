@@ -209,6 +209,23 @@ def test_one_triple_table_is_built_per_graph():
     assert _triple_table.cache_info().misses == 2
 
 
+def test_a_short_element_of_high_rank_costs_what_its_roots_cost():
+    """A60 has C(61, 3) = 35,990 triples of positive roots; the one triple
+    of s1 s2 s1 must be found without building them (a table of them peaks
+    at megabytes)."""
+    w = element_of(parse_graph("A60"), (1, 2, 1))
+    _triple_table.cache_clear()
+    tracemalloc.start()
+    try:
+        found = inversion_triples(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {tuple(t) for t in found} == brute_force_triples(w) and len(found) == 1
+    assert _triple_table.cache_info().misses == 0
+    assert peak < 64 * 1024
+
+
 # --- packed roots, and long words on infinite graphs ---
 
 FINITE_TYPE = (
