@@ -295,19 +295,28 @@ class Element:
 @lru_cache(maxsize=256)
 def _is_finite_type(g: CoxeterGraph) -> bool:
     """True iff the group is finite: its Cartan matrix is positive definite
-    (Humphreys, Reflection Groups and Coxeter Groups, 6.4), i.e. every
-    leading principal minor, a pivot of fraction-free (Bareiss)
-    elimination, is positive."""
-    n, prev = g.n, 1
-    a = [[2 * (i == j) - (j + 1 in g.neighbors[i]) for j in range(n)] for i in range(n)]
-    for p in range(n):
-        if a[p][p] <= 0:
+    (Humphreys, Reflection Groups and Coxeter Groups, 6.4), i.e. every pivot
+    of its elimination is positive.  Such a graph is a forest, as a shortest
+    cycle is chordless and a chordless cycle is the affine A~ (Humphreys
+    2.5).  On a forest, eliminating leaves first fills in nothing: a leaf
+    with pivot p/q takes q/p off its one remaining neighbour's pivot.  So
+    leaves are peeled, each pivot an integer numerator over a positive
+    denominator, until none is left, in O(n + |E|) steps.  A peeled leaf's
+    numerator is the determinant of a tree of finite type, at most n + 1."""
+    degree, num, den = [len(v) for v in g.neighbors], [2] * g.n, [1] * g.n
+    leaves = [s for s in range(g.n) if degree[s] == 1]
+    for s in leaves:
+        if degree[s] != 1:
+            continue
+        degree[s] = 0
+        t = next(u - 1 for u in g.neighbors[s] if degree[u - 1])
+        num[t], den[t] = num[t] * num[s] - den[s] * den[t], den[t] * num[s]
+        if num[t] <= 0:
             return False
-        for i in range(p + 1, n):
-            for j in range(p + 1, n):
-                a[i][j] = (a[p][p] * a[i][j] - a[i][p] * a[p][j]) // prev
-        prev = a[p][p]
-    return True
+        degree[t] -= 1
+        if degree[t] == 1:
+            leaves.append(t)
+    return not any(degree)
 
 
 def _step(g: CoxeterGraph, cols: list[Root], s: int) -> bool:
@@ -521,23 +530,10 @@ def is_reduced(g: CoxeterGraph, word: Word) -> bool:
 
 
 def is_path_forest(g: CoxeterGraph) -> bool:
-    """True iff every connected component of the graph is a simple path."""
-    if any(len(nbrs) > 2 for nbrs in g.neighbors):
-        return False
-    parent = list(range(g.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, t in g.edges:
-        rs, rt = find(s), find(t)
-        if rs == rt:
-            return False
-        parent[rs] = rt
-    return True
+    """True iff every connected component of the graph is a simple path: no
+    node has degree 3 or more and, as a cycle is not of finite type, the
+    graph is of finite type.  O(n + |E|), and cached per graph."""
+    return all(len(v) <= 2 for v in g.neighbors) and _is_finite_type(g)
 
 
 def is_standard_a_graph(g: CoxeterGraph) -> bool:

@@ -44,9 +44,10 @@ def _sum_pairs(root_of: dict[int, Root]):
 
 
 # A table costs one pair scan of the positive roots per graph.  Up to rank 8
-# there are at most 120 of them (E8, about 4 ms); above it only types A and
-# D and their unions remain, whose positive roots grow as the rank squared,
-# so the scan would outgrow a short element's own (A60: 1,830 roots).
+# there are at most 120 of them (E8, about 4 ms).  The gate rests on that
+# count, not on which types are left above rank 8 (E8 and A2 disjoint has
+# 123 roots): it grows as the rank squared (A60: 1,830), so the scan would
+# outgrow a short element's own.
 _TABLE_MAX_RANK = 8
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import product
+import random
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from freebraid import (
     simple_root,
     times_generator,
 )
-from freebraid.coxeter import mat_mul, reflection_matrix
+from freebraid.coxeter import CoxeterGraph, _is_finite_type, mat_mul, reflection_matrix
 from conftest import GOLDEN_D4_WORD, all_positive_roots, brute_reduced_words
 
 A2 = parse_graph("A2")
@@ -291,11 +293,98 @@ def test_all_positive_roots_counts():
 
 def test_is_path_forest():
     assert is_path_forest(A3)
+    assert is_path_forest(parse_graph("A0"))
     assert is_path_forest(parse_graph("A1"))
     assert is_path_forest(parse_graph("1-2,3-4"))
+    assert is_path_forest(parse_graph("2-3"))  # node 1 is isolated
+    assert is_path_forest(parse_graph("A300"))
     assert not is_path_forest(D4)
+    assert not is_path_forest(parse_graph("D5"))
     assert not is_path_forest(parse_graph("E6"))
     assert not is_path_forest(parse_graph("1-2,2-3,1-3"))
+    assert not is_path_forest(parse_graph("1-2,2-3,3-4,1-4"))
+    assert not is_path_forest(parse_graph("1-2,1-3,1-4,1-5"))
+
+
+# --- the finite-type classifier against references ---
+
+
+def bareiss_is_finite_type(g):
+    """Reference: the Cartan matrix is positive definite iff every leading
+    principal minor, a pivot of fraction-free (Bareiss) elimination on the
+    dense n x n matrix, is positive.  O(n^3)."""
+    n, prev = g.n, 1
+    a = [[2 * (i == j) - (j + 1 in g.neighbors[i]) for j in range(n)] for i in range(n)]
+    for p in range(n):
+        if a[p][p] <= 0:
+            return False
+        for i in range(p + 1, n):
+            for j in range(p + 1, n):
+                a[i][j] = (a[p][p] * a[i][j] - a[i][p] * a[p][j]) // prev
+        prev = a[p][p]
+    return True
+
+
+def componentwise_is_path_forest(g):
+    """Reference: every component has one edge fewer than it has nodes, and
+    no node has degree 3 or more."""
+    if any(len(v) > 2 for v in g.neighbors):
+        return False
+    seen = set()
+    for root in g.generators():
+        if root in seen:
+            continue
+        component, stack = {root}, [root]
+        while stack:
+            for t in g.neighbors[stack.pop() - 1]:
+                if t not in component:
+                    component.add(t)
+                    stack.append(t)
+        seen |= component
+        if sum(len(g.neighbors[s - 1]) for s in component) != 2 * (len(component) - 1):
+            return False
+    return True
+
+
+def all_simple_graphs(max_n):
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for chosen in product((False, True), repeat=len(pairs)):
+            yield CoxeterGraph(n, frozenset(e for e, c in zip(pairs, chosen) if c))
+
+
+def random_graphs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, p = rng.randint(7, 12), rng.uniform(0.08, 0.3)
+        yield CoxeterGraph(n, frozenset(e for e in combinations(range(1, n + 1), 2) if rng.random() < p))
+
+
+def test_finite_type_agrees_with_bareiss_on_every_graph_up_to_6_nodes():
+    graphs = list(all_simple_graphs(6))
+    assert len(graphs) == 33_868
+    verdicts = [bareiss_is_finite_type(g) for g in graphs]
+    assert [_is_finite_type(g) for g in graphs] == verdicts
+    assert [is_path_forest(g) for g in graphs] == [componentwise_is_path_forest(g) for g in graphs]
+    assert 0 < sum(verdicts) < len(graphs)
+
+
+def test_finite_type_agrees_with_bareiss_on_random_graphs_of_7_to_12_nodes():
+    graphs = list(random_graphs(1500, seed=15))
+    verdicts = [bareiss_is_finite_type(g) for g in graphs]
+    assert [_is_finite_type(g) for g in graphs] == verdicts
+    assert [is_path_forest(g) for g in graphs] == [componentwise_is_path_forest(g) for g in graphs]
+    assert sum(verdicts) >= 100 and len(graphs) - sum(verdicts) >= 100
+
+
+def test_finite_type_is_linear_time_at_high_rank():
+    """Dense elimination takes seconds on A400; leaf peeling takes about a
+    millisecond."""
+    g = parse_graph("A400")
+    _is_finite_type.cache_clear()
+    start = time.perf_counter()
+    assert _is_finite_type(g)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_is_standard_a_graph():

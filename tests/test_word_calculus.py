@@ -8,9 +8,9 @@ of positive roots and A2 subsystems from the literature.  Columns are
 packed at 4 bits a coefficient on graphs of finite type only; the finiteness
 test, the packing, and long words on infinite graphs, whose coefficients
 outgrow 4 bits, are checked on their own.  Inversion triples, looked up in
-a per-graph table of the positive roots' triples on graphs of finite type,
-are checked against a brute-force pair scan and the table against counts
-of A2 subsystems.
+a per-graph table of the positive roots' triples on graphs of finite type
+of rank at most 8 and found by a pair scan above it, are checked against a
+brute-force pair scan and the table against counts of A2 subsystems.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from freebraid import (
 from freebraid.coxeter import _is_finite_type, _pack, _unpack, mat_mul, reflection_matrix
 from freebraid.oracle import oracle_reduced_words, oracle_root_sequence
 from freebraid.triples import _triple_table
+from freebraid.typea import inversion_triples_1line, perm_to_element
 from conftest import all_positive_roots, group_by_length, random_elements
 
 # Finite, affine (the triangle is A~2), cyclic and disconnected graphs.
@@ -224,6 +225,31 @@ def test_a_short_element_of_high_rank_costs_what_its_roots_cost():
     assert {tuple(t) for t in found} == brute_force_triples(w) and len(found) == 1
     assert _triple_table.cache_info().misses == 0
     assert peak < 64 * 1024
+
+
+# Above rank 8 the triples come from a pair scan of the inversion set.
+# Each graph with its number of positive roots, the length of its w0.
+ABOVE_TABLE_RANK = (
+    ("A9", 45), ("A12", 78), ("D9", 72), ("D10", 90),
+    ("1-3,3-4,4-5,5-6,2-4,6-7,7-8,9-10", 123),  # E8 and A2, disjoint
+)
+
+
+@pytest.mark.parametrize("spec,positive_roots", ABOVE_TABLE_RANK)
+def test_inversion_triples_above_rank_8_match_a_brute_force_pair_scan(spec, positive_roots):
+    g = parse_graph(spec)
+    assert g.n > 8 and _is_finite_type(g)
+    assert len(all_positive_roots(g)) == positive_roots
+    for w in random_elements(g, 12, positive_roots, seed=g.n):
+        found = inversion_triples(w)
+        assert {tuple(t) for t in found} == brute_force_triples(w), w
+        assert all(t.low < t.high for t in found)
+
+
+@pytest.mark.parametrize("head", [(2, 1), (3, 2, 1)])
+def test_inversion_triples_of_a_short_permutation_in_s301(head):
+    p = (*head, *range(len(head) + 1, 302))
+    assert inversion_triples(perm_to_element(p)) == inversion_triples_1line(p)
 
 
 # --- packed roots, and long words on infinite graphs ---
