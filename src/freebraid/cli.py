@@ -20,7 +20,6 @@ from .coxeter import (
     DEFAULT_SEQUENCE_CAP,
     Element,
     ParseError,
-    canonical_word,
     element_of,
     format_word,
     parse_graph,
@@ -30,6 +29,8 @@ from .coxeter import (
 )
 from .classes import (
     PRECEDENCES,
+    CommutationGraph,
+    Precedence,
     class_partition,
     commutation_graph,
     count_classes_and_check_bound,
@@ -37,7 +38,6 @@ from .classes import (
     enumerate_reduced_words,
     f_signature,
     is_bipartite,
-    parity,
     to_dot,
 )
 from .oracle import oracle_classes_by_bfs, oracle_contractible_triples, oracle_reduced_words
@@ -149,6 +149,26 @@ def _verify(w: Element, cap: int) -> None:
             raise VerificationError(f"contractibility verdicts disagree for {t}")
 
 
+def _class_rows(
+    w: Element, cap: int, precedence: Precedence, parity: bool, bits: bool = False
+) -> tuple[CommutationGraph, list[dict]]:
+    """The commutation graph of w and one row per class, in class order: its
+    lex-least word and size, its signature parity if ``parity`` and also the
+    signature bits if ``bits``.  Classes are sorted by word, so row 0 holds
+    w's own lex-least word."""
+    graph = commutation_graph(w, cap)
+    rows = []
+    for c in graph.vertices:
+        row = {"canonical": format_word(c.canonical_word), "size": c.size}
+        if parity:
+            sig = f_signature(w, c, precedence, cap)
+            row["parity"] = sig.parity()
+            if bits:
+                row["signature_bits"] = list(sig.vector())
+        rows.append(row)
+    return graph, rows
+
+
 def cmd_analyze(args) -> int:
     w, meta = _element(args)
     cap = _cap(args)
@@ -156,21 +176,10 @@ def cmd_analyze(args) -> int:
     triples = sorted(inversion_triples(w))
     contractible = contractible_triples(w, cap=cap)
     bound = count_classes_and_check_bound(w, cap)
-    graph = commutation_graph(w, cap)
-    classes = []
-    for c in graph.vertices:
-        sig = f_signature(w, c, precedence, cap)
-        classes.append(
-            {
-                "canonical": format_word(c.canonical_word),
-                "size": c.size,
-                "signature_bits": list(sig.vector()),
-                "parity": sig.parity(),
-            }
-        )
+    graph, classes = _class_rows(w, cap, precedence, parity=True, bits=True)
     doc = {
         **meta,
-        "element": format_word(canonical_word(w)),
+        "element": classes[0]["canonical"],
         "length": w.length,
         "n_triples": len(triples),
         "N": bound.contractible,
@@ -220,26 +229,17 @@ def cmd_graph(args) -> int:
     w, meta = _element(args)
     cap = _cap(args)
     precedence = PRECEDENCES[args.precedence]
-    graph = commutation_graph(w, cap)
-    parities = (
-        tuple(parity(w, c, precedence, cap) for c in graph.vertices) if args.parity else None
-    )
-    label = format_word(canonical_word(w)) or "e"
+    graph, vertices = _class_rows(w, cap, precedence, parity=args.parity)
+    label = vertices[0]["canonical"] or "e"
     if args.dot:
+        parities = tuple(v["parity"] for v in vertices) if args.parity else None
         sys.stdout.write(to_dot(graph, parities, label))
         return EXIT_OK
     verdict = is_bipartite(graph)
     doc = {
         **meta,
         "element": label,
-        "vertices": [
-            {
-                "canonical": format_word(c.canonical_word),
-                "size": c.size,
-                **({"parity": parities[i]} if parities else {}),
-            }
-            for i, c in enumerate(graph.vertices)
-        ],
+        "vertices": vertices,
         "edges": [list(e) for e in sorted(graph.edges)],
         "bipartite": verdict.bipartite,
     }
@@ -247,7 +247,7 @@ def cmd_graph(args) -> int:
     if args.format == "text":
         print(f"element: {label}")
         for i, v in enumerate(doc["vertices"]):
-            extra = f" parity={'+' if v.get('parity', 1) > 0 else '-'}" if args.parity else ""
+            extra = f" parity={'+' if v['parity'] > 0 else '-'}" if args.parity else ""
             print(f"vertex {i}: {v['canonical'] or 'e'} (size {v['size']}){extra}")
         print("edges: " + (" ".join(f"{i}-{j}" for i, j in doc["edges"]) or "-"))
         print(f"bipartite: {str(verdict.bipartite).lower()}")

@@ -46,7 +46,6 @@ __all__ = [
     "simple_root",
     "pairing",
     "is_positive_root",
-    "is_negative_root",
     "root_str",
     "reflect",
     "act",
@@ -218,10 +217,6 @@ def pairing(g: CoxeterGraph, a: Root, b: Root) -> int:
 
 def is_positive_root(r: Root) -> bool:
     return any(c > 0 for c in r) and all(c >= 0 for c in r)
-
-
-def is_negative_root(r: Root) -> bool:
-    return any(c < 0 for c in r) and all(c <= 0 for c in r)
 
 
 def root_str(r: Root) -> str:

@@ -112,28 +112,27 @@ def word_of_root_sequence(r: RootSequence) -> Word:
 
     Entry i is v(a_s) for the element v built from the letters found so
     far, so s is the generator whose column of v equals entry i; v then
-    steps to v*s.  The reconstruction is verified by a full roundtrip so
-    any invalid input is rejected.
+    steps to v*s.  The one pass also checks what root_sequence of the word
+    found would: every step is an ascent (so every entry is positive and the
+    word reduced), and every entry decodes back to itself (so no coefficient
+    or tuple length aliases onto another root's column).
     """
     g = r.graph
-    encode, _, step, _ = _calculus(g)
+    encode, decode, step, _ = _calculus(g)
     cols = encode(_identity(g.n))
+    entries = encode(map(tuple, r.roots))
     rev: list[int] = []
-    for root in encode(map(tuple, r.roots)):
+    ascents = True
+    for root in entries:
         try:
             s = cols.index(root) + 1
         except ValueError:
             raise ValueError("not a valid root sequence: an entry is no image of a simple root") from None
-        step(g, cols, s)
+        ascents &= step(g, cols, s)
         rev.append(s)
-    word = tuple(reversed(rev))
-    try:
-        back = root_sequence(g, word)
-    except ValueError:
-        raise ValueError("not a valid root sequence") from None
-    if back.roots != r.roots:
+    if not ascents or decode(entries, g.n) != r.roots:
         raise ValueError("not a valid root sequence")
-    return word
+    return tuple(reversed(rev))
 
 
 def _closure_masks(g: CoxeterGraph, roots: tuple[Root, ...]) -> list[int]:

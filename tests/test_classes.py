@@ -68,6 +68,14 @@ def test_enumerate_words_cap():
     assert info.value.count == 6
 
 
+def test_enumerate_words_cap_above_the_class_count():
+    # w0(A3) has 8 classes and 16 words: a cap of 10 passes the class
+    # search and stops the word listing at its 11th word.
+    with pytest.raises(CapExceededError, match="more than 10 reduced words") as info:
+        enumerate_reduced_words(W0_S4, cap=10)
+    assert info.value.count == 11
+
+
 def test_enumerate_words_max_length_guard():
     w0_s12 = perm_to_element(tuple(range(12, 0, -1)))  # length 66, above the guard of 64
     with pytest.raises(CapExceededError) as info:

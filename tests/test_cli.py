@@ -6,6 +6,8 @@ import argparse
 import hashlib
 import json
 
+import itertools
+
 import pytest
 
 import freebraid.cli as cli
@@ -50,6 +52,13 @@ def test_reduce_empty_word(capsys):
     assert doc["reduced_word"] == ""
     assert doc["length"] == 0
     assert doc["inversion_set"] == []
+
+
+def test_reduce_needs_a_graph(capsys):
+    code, out, err = run(capsys, "reduce", "-w", "1")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "reduce needs --graph and --word" in err
 
 
 def test_reduce_text(capsys):
@@ -158,6 +167,69 @@ def test_analyze_perm_conflicts_with_graph(capsys):
 def test_analyze_missing_element(capsys):
     code, _, err = run(capsys, "analyze", "-g", "A3")
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [("4", "generator 4 out of range 1..3"), ("0", "generator indices start at 1")],
+)
+def test_analyze_rejects_a_letter_off_the_graph(capsys, word, message):
+    code, out, err = run(capsys, "analyze", "-g", "A3", "-w", word)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--perm", "".join(map(str, p))) for p in itertools.permutations(range(1, 6))]
+    + [GOLDEN_D4[1:5]],
+    ids=lambda argv: argv[1].replace(" ", ""),
+)
+def test_n_counts_the_triples_flagged_contractible(capsys, argv):
+    # N comes from the class engine's move labels and the flags from
+    # contractible_triples, which on a path forest takes the path rule.
+    doc = run_json(capsys, "analyze", *argv)
+    assert doc["N"] == sum(t["contractible"] for t in doc["triples"])
+
+
+def spy(monkeypatch, name):
+    """Replace cli's `name` by a wrapper that logs (args, result) per call."""
+    log = []
+    fn = getattr(cli, name)
+
+    def logged(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        log.append((args, result))
+        return result
+
+    monkeypatch.setattr(cli, name, logged)
+    return log
+
+
+@pytest.mark.parametrize(
+    "argv, signed",
+    [
+        (("analyze", "--perm", "4231"), True),
+        (("analyze", "-g", "D4", "-w", "2 1 3 4 2 4 3 1 2", "--format", "text"), True),
+        (("graph", "--perm", "4231", "--parity"), True),
+        (("graph", "--perm", "4231", "--parity", "--dot"), True),
+        (("graph", "--perm", "4231"), False),
+        (("graph", "--perm", "4231", "--dot"), False),
+        (("graph", "-g", "A2", "-w", "1 2 1", "--format", "text"), False),
+    ],
+    ids=["analyze", "analyze_text", "graph_parity", "dot_parity", "graph", "dot", "graph_text"],
+)
+def test_one_signature_per_class_and_only_when_printed(capsys, monkeypatch, argv, signed):
+    signatures = spy(monkeypatch, "f_signature")
+    graphs = spy(monkeypatch, "commutation_graph")
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    ((_, graph),) = graphs
+    assert [args[1] for args, _ in signatures] == (list(graph.vertices) if signed else [])
+    # The element's word is row 0's, and parity is read off the signature.
+    assert not hasattr(cli, "canonical_word")
+    assert not hasattr(cli, "parity")
 
 
 # --- graph ---
@@ -335,13 +407,18 @@ GOLDEN_STDOUT = {
         "cf84a2294d5fe5a36c3705fa2086aa194a9a3c7e61f12b47a3bd52c48ae30d92",
     ("enumerate", "-n", "6"):
         "49c95914a8c3a4d98d18b79c53f1b326da044e6106124af85ced8a2633e6ef46",
+    ("graph", "-g", "A2", "-w", "1 2 1", "--format", "text"):
+        "051443e45fb4e3eb1f74c6eb431a7761a9f67a80942a56480e7e2564180f418b",
+    ("graph", "--perm", "4231", "--parity", "--format", "text"):
+        "990c03a7aaea75af71835ed25f1aac26a1df08ed4ab1e455c95d52b28a79e3d2",
 }
 
 
 @pytest.mark.parametrize(
     "argv",
     list(GOLDEN_STDOUT),
-    ids=["w0_A5", "D4_verify_text", "E6_dot", "two_paths_revlex", "reduce_A2", "enumerate_6"],
+    ids=["w0_A5", "D4_verify_text", "E6_dot", "two_paths_revlex", "reduce_A2", "enumerate_6",
+         "graph_A2_text", "graph_4231_parity_text"],
 )
 def test_stdout_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -110,6 +110,35 @@ def test_word_of_root_sequence_rejects_invalid():
         word_of_root_sequence(RootSequence(A2, ((1, 0), (0, 1), (1, 1))))
 
 
+@pytest.mark.parametrize(
+    "g, roots",
+    [
+        (D4, ((16, 0, 0, 0),)),  # packs at 4 bits onto the column of a2
+        (D4, ((1, 0, 0),)),  # too short: packs onto the column of a1
+        (A2, ((1, 0), (-1, 0))),  # the second step is a descent
+    ],
+    ids=["aliased_coefficient", "short_tuple", "negative_entry"],
+)
+def test_word_of_root_sequence_rejects_what_the_encoding_hides(g, roots):
+    with pytest.raises(ValueError, match="^not a valid root sequence$"):
+        word_of_root_sequence(RootSequence(g, roots))
+
+
+def test_word_of_root_sequence_runs_no_root_sequence(monkeypatch):
+    words = [(A3, word) for elems in group_by_length(A3, 6).values() for w in elems
+             for word in enumerate_reduced_words(w)]
+    words.append((D4, GOLDEN_D4_WORD))
+    assert len(words) == 67  # the 66 reduced words of the 24 elements of S4, and one of D4
+    sequences = [(root_sequence(g, word), word) for g, word in words]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("word_of_root_sequence called root_sequence")
+
+    monkeypatch.setattr("freebraid.rootseq.root_sequence", forbidden)
+    for seq, word in sequences:
+        assert word_of_root_sequence(seq) == word
+
+
 def test_roundtrip_all_s4_words():
     for length, elems in group_by_length(A3, 6).items():
         for w in elems:
