@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .coxeter import (
     CapExceededError,
@@ -86,12 +85,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Precedence:
+class Precedence(NamedTuple):
     """Total order on roots given by an injective sort key on coefficients."""
 
     name: str
-    key: Callable[[Root], object] = field(compare=False)
+    key: Callable[[Root], object]
 
     def precedes(self, a: Root, b: Root) -> bool:
         return self.key(a) < self.key(b)
@@ -102,8 +100,7 @@ REVLEX = Precedence("revlex", lambda r: tuple(reversed(r)))
 PRECEDENCES = {"lex": LEX, "revlex": REVLEX}
 
 
-@dataclass(frozen=True)
-class CommutationClass:
+class CommutationClass(NamedTuple):
     """One commutation class, held as its lex-least word, and its size.
 
     The word determines the class, so its root sequence is derived from it.
@@ -119,8 +116,7 @@ class CommutationClass:
         return root_sequence(self.graph, self.canonical_word)
 
 
-@dataclass(frozen=True)
-class FSignature:
+class FSignature(NamedTuple):
     """Bit per contractible triple, in sorted-triple order.
 
     A bit is 0 when the class heap order ranks the two summands the same way
@@ -143,24 +139,21 @@ class FSignature:
         return -1 if self.weight() % 2 else 1
 
 
-@dataclass(frozen=True)
-class CommutationGraph:
+class CommutationGraph(NamedTuple):
     """Classes as vertices; edges join classes one long braid move apart."""
 
     vertices: tuple[CommutationClass, ...]
     edges: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     classes: int
     contractible: int
     bound_holds: bool
     achieves_bound: bool
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     bipartite: bool
     coloring: tuple[int, ...] | None
 

@@ -28,9 +28,9 @@ the tuple definitions that tests compare against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, neg
+from typing import NamedTuple
 
 __all__ = [
     "Word",
@@ -91,35 +91,40 @@ class CapExceededError(RuntimeError):
         self.count = count
 
 
-@dataclass(frozen=True)
 class CoxeterGraph:
     """A simply laced Coxeter graph: m(s,t)=3 on edges, m(s,t)=2 off them.
 
-    ``edges`` holds unordered generator pairs normalized to (min, max).
-    The adjacency lists are derived once at construction; they are excluded
-    from equality and hashing.
+    ``edges`` holds generator pairs normalized to (min, max), ``neighbors``
+    the adjacency lists; equality, hashing and the repr read ``n`` and
+    ``edges`` only.  No code assigns to a graph, and nothing guards it.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    neighbors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "edges", "neighbors")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 0:
             raise ParseError("generator count must be nonnegative")
         normalized = set()
-        for s, t in self.edges:
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        for s, t in edges:
             if s == t:
                 raise ParseError(f"self-loop at generator {s}")
-            if not (1 <= s <= self.n and 1 <= t <= self.n):
-                raise ParseError(f"edge {s}-{t} out of range 1..{self.n}")
+            if not (1 <= s <= n and 1 <= t <= n):
+                raise ParseError(f"edge {s}-{t} out of range 1..{n}")
             normalized.add((min(s, t), max(s, t)))
-        object.__setattr__(self, "edges", frozenset(normalized))
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for s, t in normalized:
-            nbrs[s - 1].append(t)
-            nbrs[t - 1].append(s)
-        object.__setattr__(self, "neighbors", tuple(tuple(sorted(v)) for v in nbrs))
+            nbrs[s - 1].add(t)
+            nbrs[t - 1].add(s)
+        self.n, self.edges = n, frozenset(normalized)
+        self.neighbors = tuple(tuple(sorted(v)) for v in nbrs)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is CoxeterGraph and self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"CoxeterGraph(n={self.n!r}, edges={self.edges!r})"
 
     def adjacent(self, s: int, t: int) -> bool:
         return (min(s, t), max(s, t)) in self.edges
@@ -272,19 +277,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """A group element: its column images plus its length.
 
     ``columns[s - 1]`` is w(a_s), the image of the simple root of s, so the
-    columns are the matrix of w on root coordinates read column by column.
-    They alone determine the element; ``length`` is derived data and
-    excluded from equality and hashing.
+    columns are w's matrix on root coordinates, read column by column.  They
+    determine w and its ``length``; equality and hashing read all three.
     """
 
     graph: CoxeterGraph
     columns: tuple[Root, ...]
-    length: int = field(compare=False)
+    length: int
 
 
 @lru_cache(maxsize=256)

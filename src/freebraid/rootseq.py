@@ -10,7 +10,6 @@ Two sequences are commutation equivalent exactly when their heap orders
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .coxeter import (
@@ -40,12 +39,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RootSequence:
-    """An ordered tuple of positive roots realizing one reduced word."""
+    """An ordered tuple of positive roots realizing one reduced word; length,
+    iteration and indexing act over the roots.  No code assigns to a
+    sequence, and nothing guards it."""
 
-    graph: CoxeterGraph
-    roots: tuple[Root, ...]
+    __slots__ = ("graph", "roots")
+
+    def __init__(self, graph: CoxeterGraph, roots: tuple[Root, ...]):
+        self.graph, self.roots = graph, roots
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is RootSequence and (self.graph, self.roots) == (other.graph, other.roots)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.roots))
+
+    def __repr__(self) -> str:
+        return f"RootSequence(graph={self.graph!r}, roots={self.roots!r})"
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -65,8 +76,7 @@ class InversionTriple(NamedTuple):
     high: Root
 
 
-@dataclass(frozen=True)
-class HeapOrder:
+class HeapOrder(NamedTuple):
     """Partial order on the roots of one sequence, stored as its closure.
 
     ``relation`` holds ordered pairs (a, b) meaning a precedes b.  It is the

@@ -11,7 +11,8 @@ import itertools
 import pytest
 
 import freebraid.cli as cli
-from freebraid import inversion_triples
+from freebraid import enumerate_classes, inversion_triples
+from freebraid.oracle import oracle_classes_by_bfs
 from freebraid.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
 
@@ -138,6 +139,24 @@ def test_verify_catches_contractibility_mismatch(capsys, monkeypatch):
     code, _, err = run(capsys, *GOLDEN_D4)
     assert code == EXIT_VERIFY
     assert "contractibility verdicts disagree" in err
+
+
+def test_verify_catches_class_partition_mismatch(capsys, monkeypatch):
+    # An oracle that sees every reduced word in one commutation class.
+    merged = lambda w, cap=None: [frozenset().union(*oracle_classes_by_bfs(w, cap))]
+    monkeypatch.setattr(cli, "oracle_classes_by_bfs", merged)
+    code, _, err = run(capsys, *GOLDEN_D4)
+    assert code == EXIT_VERIFY
+    assert "verification failed: class partition disagrees with BFS oracle\n" in err
+
+
+def test_verify_catches_class_size_mismatch(capsys, monkeypatch):
+    # An engine that counts one word too many in every class.
+    grown = lambda w, cap=None: [c._replace(size=c.size + 1) for c in enumerate_classes(w, cap)]
+    monkeypatch.setattr(cli, "enumerate_classes", grown)
+    code, _, err = run(capsys, *GOLDEN_D4)
+    assert code == EXIT_VERIFY
+    assert "verification failed: class size disagrees with BFS oracle for 2 1 3 2 4 2 1 3 2\n" in err
 
 
 def test_analyze_precedence_flag(capsys):

@@ -32,7 +32,7 @@ from freebraid import (
     simple_root,
     times_generator,
 )
-from freebraid.coxeter import CoxeterGraph, _is_finite_type, mat_mul, reflection_matrix
+from freebraid.coxeter import CoxeterGraph, Element, _is_finite_type, mat_mul, reflection_matrix
 from conftest import GOLDEN_D4_WORD, all_positive_roots, brute_reduced_words
 
 A2 = parse_graph("A2")
@@ -82,6 +82,22 @@ def test_parse_graph_errors():
     for bad in ("", "Q3", "D3", "E5", "E9", "1-1", "1-2,2", "0-1", "A-1"):
         with pytest.raises(ParseError):
             parse_graph(bad)
+
+
+def test_coxeter_graph_validation_messages():
+    with pytest.raises(ParseError, match="^generator count must be nonnegative$"):
+        CoxeterGraph(-1, frozenset())
+    with pytest.raises(ParseError, match="^edge 1-4 out of range 1..3$"):
+        CoxeterGraph(3, {(1, 4)})
+    with pytest.raises(ParseError, match="^self-loop at generator 2$"):
+        CoxeterGraph(3, {(2, 2)})
+
+
+def test_coxeter_exponents():
+    g = CoxeterGraph(3, {(2, 1)})
+    assert g.m(1, 1) == 1
+    assert g.m(1, 2) == g.m(2, 1) == 3
+    assert g.m(1, 3) == 2
 
 
 def test_parse_word_forms():
@@ -226,6 +242,15 @@ def test_times_generator_changes_length_by_one():
         ws = times_generator(w, s)
         assert abs(ws.length - w.length) == 1
         assert times_generator(ws, s) == w
+
+
+@pytest.mark.parametrize("spec", ["D4", "1-2,2-3,1-3"])
+def test_hand_built_element_with_wrong_length_is_a_clean_error(spec):
+    # D4 peels packed columns, the affine triangle tuple columns.
+    g = parse_graph(spec)
+    bad = Element(g, identity_element(g).columns, 1)
+    with pytest.raises(ValueError, match="^columns are not those of a Coxeter group element$"):
+        canonical_word(bad)
 
 
 # --- reduction ---
