@@ -63,6 +63,7 @@ from .classes import (
     f_signature,
     is_bipartite,
     parity,
+    signature_vectors,
     to_dot,
 )
 from .triples import (

@@ -28,14 +28,20 @@ definition.  So pairs outside contractible triples keep one order in every
 class, and the key is the class's orientation of the contractible triples
 XOR the start class's: it is path-independent, and equal keys mean one class.
 
-A class's size is the number of linear extensions of its heap, counted by a
-DP over its down-sets.  Reduced words are listed, as linear extensions of
-each class, only by enumerate_reduced_words and class_partition.  Caps: the
-class search counts commutation classes, the size DP counts the down-sets
-of one size it holds (never more than the class has words), and word
-listing counts reduced words; each raises CapExceededError once its tally
-passes the cap.  An engine is built for one element under one cap and
-bounds all its work by that cap.
+A class's size is the number of linear extensions of its heap, counted by
+one recursion for all of an element's classes: the count of a heap is the
+sum, over its maximal pieces, of the counts of the heap without that piece,
+and the empty heap counts 1.  Deleting a maximal piece from a lex-least word
+leaves a lex-least word (every letter after the piece commutes with it), so
+each sub-heap is keyed by its word alone and the classes share one memo.
+It holds every sub-heap of every class, as bytes, until the sizes are done.
+Reduced words are listed, as linear extensions of each class, only by
+enumerate_reduced_words and class_partition.  Caps: the class search counts
+commutation classes, the size memo counts the entries one class adds at one
+length (distinct down-sets of that class's heap of one size, never more than
+the class has words), and word listing counts reduced words; each raises
+CapExceededError once its tally passes the cap.  An engine is built for one
+element under one cap and bounds all its work by that cap.
 
 The class signature records, per contractible triple, whether the heap order
 of the two summands agrees with a fixed precedence on roots; flipping one
@@ -77,6 +83,7 @@ __all__ = [
     "enumerate_classes",
     "class_partition",
     "f_signature",
+    "signature_vectors",
     "parity",
     "count_classes_and_check_bound",
     "commutation_graph",
@@ -255,32 +262,50 @@ def _too_wide(cap: int) -> CapExceededError:
     return CapExceededError(f"more than {cap} down-sets of one size in a class heap", count=cap + 1)
 
 
-def _linear_extension_count(word: Word, closed: list[int], cap: int) -> int:
-    """Number of linear extensions of the heap of `word`, layer by layer over
-    its down-sets.
+def _class_sizes(words: list[Word], closed: list[int], cap: int) -> list[int]:
+    """Number of linear extensions of the heap of each lex-least word in
+    ``words``, the classes of one element (so all on the same letters), from
+    one shared memo.
 
-    A layer never holds more down-sets than the heap has linear extensions,
-    so ``cap`` bounds the work without tripping below the class's word count.
+    A piece is maximal when no later letter lies in its closed neighborhood,
+    so a backward scan finds them all; once the closed neighborhoods of the
+    letters passed cover every letter, no earlier piece is maximal.  The memo
+    is keyed by words as bytes, their letters relabeled in order so each fits
+    a byte (the engine takes at most 64 letters).  ``cap`` bounds the new
+    entries one word adds at one length: distinct down-sets of its heap of
+    one size, so never more than its linear extensions.
     """
-    below, chains = _heap(word, closed)
-    ways = {0: 1}
-    for _ in word:
-        grown: dict[int, int] = {}
-        for down, k in ways.items():
-            for chain in chains:
-                free = chain & ~down
-                bit = free & -free
-                if not free or below[bit] & ~down:
-                    continue
-                up = down | bit
-                if up in grown:
-                    grown[up] += k
-                elif len(grown) < cap:
-                    grown[up] = k
-                else:
-                    raise _too_wide(cap)
-        ways = grown
-    return ways[(1 << len(word)) - 1]
+    support = sorted(set(words[0]))
+    relabel = {s: i for i, s in enumerate(support)}
+    near = [sum(1 << relabel[t] for t in support if closed[s] >> t & 1) for s in support]
+    full = (1 << len(support)) - 1
+    memo = {b"": 1}
+    added: list[int] = []
+
+    def count(word: bytes) -> int:
+        n = len(word)
+        added[n] += 1
+        if added[n] > cap:
+            raise _too_wide(cap)
+        total = blocked = 0
+        for p in range(n - 1, -1, -1):
+            s = word[p]
+            if not blocked >> s & 1:
+                sub = word[:p] + word[p + 1 :]
+                k = memo.get(sub)
+                total += count(sub) if k is None else k
+            blocked |= near[s]
+            if blocked == full:
+                break
+        memo[word] = total
+        return total
+
+    sizes = []
+    for word in words:
+        added[:] = [0] * (len(word) + 1)
+        key = bytes([relabel[s] for s in word])
+        sizes.append(memo[key] if key in memo else count(key))
+    return sizes
 
 
 def _linear_extensions(
@@ -322,14 +347,14 @@ class _Engine:
     long braid move apart and ``labels`` holds the sorted move labels, i.e.
     the contractible triples.  The search keys a class by its orientation of
     the contractible triples relative to the start class, a neighbour's key
-    being ``key ^ bits[label]``; ``label_bits`` holds, per sorted label, the
-    place of its key bit and its two signature entries, (label, 0) and
-    (label, 1).  ``cap`` bounds the classes found, the down-sets of one size
-    the size DP holds and the words ``members`` lists.
+    being ``key ^ bits[label]``; ``places`` holds, per sorted label, the
+    place of its key bit.  ``cap`` bounds the classes found, the entries one
+    class adds at one length to the size memo and the words ``members``
+    lists.
     """
 
     __slots__ = (
-        "cap", "base", "closed", "classes", "edges", "labels", "label_bits", "_sizes", "_flips"
+        "cap", "base", "closed", "classes", "edges", "labels", "places", "_sizes", "_flips"
     )
 
     def __init__(self, w: Element, cap: int):
@@ -364,7 +389,7 @@ class _Engine:
         self.classes = {queue[k][0]: queue[k][1:] for k in order}
         self.edges = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs)
         self.labels = tuple(t for t, _ in labels)
-        self.label_bits = tuple((j, ((t, 0), (t, 1))) for t, j in labels)
+        self.places = tuple(j for _, j in labels)
         self._sizes: list[int] | None = None
         self._flips: dict[Callable[[Root], object], int] = {}
 
@@ -374,8 +399,7 @@ class _Engine:
 
     def sizes(self) -> list[int]:
         if self._sizes is None:
-            closed, cap = self.closed, self.cap
-            self._sizes = [_linear_extension_count(word, closed, cap) for word in self.classes]
+            self._sizes = _class_sizes(list(self.classes), self.closed, self.cap)
         return self._sizes
 
     def flips(self, precedence: Precedence) -> int:
@@ -384,10 +408,15 @@ class _Engine:
             pos = self.base.index
             self._flips[precedence.key] = sum(
                 1 << j
-                for t, (j, _) in zip(self.labels, self.label_bits)
+                for t, j in zip(self.labels, self.places)
                 if (pos(t.low) < pos(t.high)) != precedence.precedes(t.low, t.high)
             )
         return self._flips[precedence.key]
+
+    def signature(self, key: int, precedence: Precedence) -> tuple[int, ...]:
+        """The signature bits of the class searched under ``key``, per sorted label."""
+        x = key ^ self.flips(precedence)
+        return tuple([x >> j & 1 for j in self.places])
 
     def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
         return tuple(CommutationClass(g, word, k) for word, k in zip(self.classes, self.sizes()))
@@ -450,8 +479,17 @@ def f_signature(
     _, key = e.classes.get(c.canonical_word, (None, None))
     if key is None or c.graph != w.graph:
         raise ValueError("class does not belong to this element")
-    x = key ^ e.flips(precedence)
-    return FSignature(tuple([entry[x >> j & 1] for j, entry in e.label_bits]))
+    return FSignature(tuple(zip(e.labels, e.signature(key, precedence))))
+
+
+def signature_vectors(
+    w: Element, precedence: Precedence = LEX, cap: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Per class of w, in class order, its signature bits as
+    ``f_signature(w, c, precedence, cap).vector()`` gives them, each read
+    once off the class's search key."""
+    e = _engine(w, cap)
+    return (e.signature(key, precedence) for _, key in e.classes.values())
 
 
 def parity(

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import itertools
 import os
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 from .coxeter import (
     CapExceededError,
@@ -36,8 +38,8 @@ from .classes import (
     count_classes_and_check_bound,
     enumerate_classes,
     enumerate_reduced_words,
-    f_signature,
     is_bipartite,
+    signature_vectors,
     to_dot,
 )
 from .oracle import oracle_classes_by_bfs, oracle_contractible_triples, oracle_reduced_words
@@ -63,9 +65,56 @@ class VerificationError(RuntimeError):
     """Production and oracle disagreed under --verify."""
 
 
+def _json(value, pad: str) -> str:
+    """``value``, made of the str, int, bool, None, dict and list values the
+    CLI's documents hold, as ``json.dumps(value, sort_keys=True, indent=2)``
+    writes it when it starts on a line indented by ``pad``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        items = sep.join(
+            [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        )
+        return f"{{\n{inner}{items}\n{pad}}}"
+    if set(map(type, value)) == {int}:
+        items = sep.join(map(int.__repr__, value))
+    else:
+        items = sep.join([_json(v, inner) for v in value])
+    return f"[\n{inner}{items}\n{pad}]"
+
+
 def _emit(doc: dict, args) -> None:
-    if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    """Print ``doc`` as ``json.dumps(doc, sort_keys=True, indent=2)`` would,
+    writing a value that is an iterator, such as a class pass, one row at a
+    time as it yields them."""
+    if args.format != "json":
+        return
+    write = sys.stdout.write
+    sep = "{\n  "
+    for key in sorted(doc):
+        value = doc[key]
+        write(f"{sep}{encode_basestring_ascii(key)}: ")
+        sep = ",\n  "
+        if not isinstance(value, Iterator):
+            write(_json(value, "  "))
+            continue
+        row_sep = "[\n    "
+        for row in value:
+            write(row_sep + _json(row, "    "))
+            row_sep = ",\n    "
+        write("[]" if row_sep == "[\n    " else "\n  ]")
+    write("\n}\n" if doc else "{}\n")
 
 
 def _cap(args) -> int:
@@ -151,22 +200,25 @@ def _verify(w: Element, cap: int) -> None:
 
 def _class_rows(
     w: Element, cap: int, precedence: Precedence, parity: bool, bits: bool = False
-) -> tuple[CommutationGraph, list[dict]]:
-    """The commutation graph of w and one row per class, in class order: its
-    lex-least word and size, its signature parity if ``parity`` and also the
-    signature bits if ``bits``.  Classes are sorted by word, so row 0 holds
-    w's own lex-least word."""
+) -> tuple[CommutationGraph, Iterator[dict]]:
+    """The commutation graph of w and a pass yielding one row per class, in
+    class order: its lex-least word and size, its signature parity if
+    ``parity`` and also the signature bits if ``bits``.  The graph, and so
+    every class and size cap, is settled before the first row.  Classes are
+    sorted by word, so the first vertex holds w's own lex-least word."""
     graph = commutation_graph(w, cap)
-    rows = []
-    for c in graph.vertices:
-        row = {"canonical": format_word(c.canonical_word), "size": c.size}
-        if parity:
-            sig = f_signature(w, c, precedence, cap)
-            row["parity"] = sig.parity()
-            if bits:
-                row["signature_bits"] = list(sig.vector())
-        rows.append(row)
-    return graph, rows
+    signatures = signature_vectors(w, precedence, cap) if parity else itertools.repeat(None)
+
+    def rows() -> Iterator[dict]:
+        for c, sig in zip(graph.vertices, signatures):
+            row = {"canonical": format_word(c.canonical_word), "size": c.size}
+            if sig is not None:
+                row["parity"] = -1 if sum(sig) % 2 else 1
+                if bits:
+                    row["signature_bits"] = list(sig)
+            yield row
+
+    return graph, rows()
 
 
 def cmd_analyze(args) -> int:
@@ -179,7 +231,7 @@ def cmd_analyze(args) -> int:
     graph, classes = _class_rows(w, cap, precedence, parity=True, bits=True)
     doc = {
         **meta,
-        "element": classes[0]["canonical"],
+        "element": format_word(graph.vertices[0].canonical_word),
         "length": w.length,
         "n_triples": len(triples),
         "N": bound.contractible,
@@ -230,7 +282,7 @@ def cmd_graph(args) -> int:
     cap = _cap(args)
     precedence = PRECEDENCES[args.precedence]
     graph, vertices = _class_rows(w, cap, precedence, parity=args.parity)
-    label = vertices[0]["canonical"] or "e"
+    label = format_word(graph.vertices[0].canonical_word) or "e"
     if args.dot:
         parities = tuple(v["parity"] for v in vertices) if args.parity else None
         sys.stdout.write(to_dot(graph, parities, label))
@@ -246,7 +298,7 @@ def cmd_graph(args) -> int:
     _emit(doc, args)
     if args.format == "text":
         print(f"element: {label}")
-        for i, v in enumerate(doc["vertices"]):
+        for i, v in enumerate(vertices):
             extra = f" parity={'+' if v['parity'] > 0 else '-'}" if args.parity else ""
             print(f"vertex {i}: {v['canonical'] or 'e'} (size {v['size']}){extra}")
         print("edges: " + (" ".join(f"{i}-{j}" for i, j in doc["edges"]) or "-"))

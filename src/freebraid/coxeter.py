@@ -69,9 +69,12 @@ Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 # Guards for the enumeration entry points.  The sequence cap bounds three
-# things: commutation classes, the down-sets of one size that the class-size
-# DP holds, and reduced words where words are listed.  The length cap bounds
-# the words we agree to enumerate.
+# things: commutation classes, the entries one class adds at one length to
+# the shared class-size memo (distinct down-sets of one size of its heap),
+# and reduced words where words are listed.  The size memo holds every
+# sub-heap of every class until the sizes are done, so the cap bounds it
+# per class, not in total.  The length cap bounds the words we agree to
+# enumerate.
 DEFAULT_SEQUENCE_CAP = 10**6
 DEFAULT_MAX_WORD_LENGTH = 64
 

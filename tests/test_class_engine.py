@@ -38,15 +38,16 @@ from freebraid import (
 )
 from freebraid.cli import EXIT_CAP, EXIT_OK, main
 from freebraid.classes import (
+    _class_sizes,
     _closed_neighborhoods,
     _engine,
+    _heap,
     _least_extension,
-    _linear_extension_count,
     _linear_extensions,
 )
 from freebraid.oracle import oracle_classes_by_bfs, oracle_contractible
 from freebraid.typea import perm_to_element
-from conftest import GOLDEN_D4_WORD, group_by_length
+from conftest import GOLDEN_D4_WORD, group_by_length, random_elements
 
 # Commutation classes of w0 in S_n (Knuth, Axioms and Hulls, 1992; OEIS A006245).
 KNUTH_W0_CLASSES = {5: 62, 6: 908, 7: 24_698}
@@ -87,21 +88,26 @@ def test_the_engine_braids_once_per_class(monkeypatch):
     assert calls == 907
 
 
-def test_analyze_builds_each_class_heap_once(monkeypatch, capsys):
-    """Only the size DP builds a heap: one per class of w0(A5), not two."""
-    calls = 0
-    heap = freebraid.classes._heap
+def test_analyze_builds_no_heap_and_counts_sizes_once(monkeypatch, capsys):
+    """The sizes of all 908 classes of w0(A5) come from one run of the shared
+    size memo, and no class heap is built."""
+    calls = {"_heap": 0, "_class_sizes": 0}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return heap(*args)
+    def counting(name):
+        fn = getattr(freebraid.classes, name)
 
-    monkeypatch.setattr(freebraid.classes, "_heap", counted)
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(freebraid.classes, name, counting(name))
     freebraid.classes._built.cache_clear()
     assert main(["analyze", "--perm", "654321"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == 908
+    assert calls == {"_heap": 0, "_class_sizes": 1}
 
 
 # Elements on a path, a branched, an exceptional, a cyclic (affine A~2) and
@@ -236,24 +242,81 @@ def antichain(k: int) -> tuple[int, ...]:
 
 
 def test_class_size_dp_respects_the_cap():
-    w = perm_to_element(antichain(12))  # the widest layer holds C(12, 6) = 924 down-sets
+    w = perm_to_element(antichain(12))  # C(12, 6) = 924 down-sets have 6 pieces
     with pytest.raises(CapExceededError) as info:
         enumerate_classes(w, cap=100)
     assert info.value.count == 101
-    # The DP stops at the cap itself rather than checking after the count.
+    # The memo stops at the cap itself rather than checking after the count.
     closed = _closed_neighborhoods(w.graph)
     with pytest.raises(CapExceededError):
-        _linear_extension_count(canonical_word(w), closed, 923)
-    assert _linear_extension_count(canonical_word(w), closed, 924) == factorial(12)
+        _class_sizes([canonical_word(w)], closed, 923)
+    assert _class_sizes([canonical_word(w)], closed, 924) == [factorial(12)]
     assert [c.size for c in enumerate_classes(w)] == [factorial(12)]
     with pytest.raises(CapExceededError):
         enumerate_classes(w, cap=100)  # an engine built under another cap does not answer
 
 
+def linear_extension_count(word, closed) -> int:
+    """Reference: the linear extensions of the heap of `word`, counted layer
+    by layer over its down-sets, one heap per class (the size DP the shared
+    memo replaced)."""
+    below, chains = _heap(word, closed)
+    ways = {0: 1}
+    for _ in word:
+        grown: dict[int, int] = {}
+        for down, k in ways.items():
+            for chain in chains:
+                free = chain & ~down
+                bit = free & -free
+                if free and not below[bit] & ~down:
+                    grown[down | bit] = grown.get(down | bit, 0) + k
+        ways = grown
+    return ways[(1 << len(word)) - 1]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_reference_size_dp_gives_stanleys_counts(n):
+    """w0(A1) to w0(A5): the per-heap DP sums to Stanley's word counts, and
+    the shared memo gives the same size for every class."""
+    w = perm_to_element(tuple(range(n, 0, -1)))
+    e = _engine(w)
+    sizes = [linear_extension_count(word, e.closed) for word in e.classes]
+    assert sum(sizes) == stanley(n)
+    assert [c.size for c in enumerate_classes(w)] == sizes
+
+
+@pytest.mark.parametrize(
+    "spec, max_length, seed",
+    [("D4", 12, 11), ("D5", 14, 12), ("E6", 14, 13), ("A5", 15, 14), ("1-2,2-3,1-3", 9, 15),
+     ("1-2,3-4", 6, 16)],
+)
+def test_shared_size_memo_agrees_with_the_per_heap_dp(spec, max_length, seed):
+    for w in random_elements(parse_graph(spec), 25, max_length, seed):
+        e = _engine(w)
+        expected = [linear_extension_count(word, e.closed) for word in e.classes]
+        assert [c.size for c in enumerate_classes(w)] == expected, w
+
+
+def test_size_memo_relabels_letters_above_255():
+    g = parse_graph("A300")
+    assert [c.size for c in enumerate_classes(element_of(g, (300, 299, 300)))] == [1, 1]
+    assert [c.size for c in enumerate_classes(element_of(g, (299, 1, 300, 2)))] == [6]
+
+
 def test_wide_heap_exits_on_the_cap(capsys):
     perm = ",".join(str(v) for v in antichain(12))
     assert main(["analyze", "--perm", perm, "--max-words", "100"]) == EXIT_CAP
-    assert "down-sets" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "more than 100 down-sets of one size in a class heap" in captured.err
+    assert captured.out == ""
+
+
+def test_cap_counts_the_down_sets_of_one_class(capsys):
+    """The memo shares sub-heaps between classes, and a class is charged only
+    for the entries it adds: w0(D4) still passes at a cap of its 182 classes."""
+    w = element_of(parse_graph("D4"), (2, 1, 3, 4) * 3)
+    assert sum(c.size for c in enumerate_classes(w, cap=182)) == 2316
+    assert main(["analyze", "-g", "D4", "-w", "2 1 3 4 " * 3, "--max-words", "182"]) == EXIT_OK
 
 
 def test_a_cached_engine_still_answers_to_each_cap():

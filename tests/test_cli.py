@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 import freebraid.cli as cli
-from freebraid import enumerate_classes, inversion_triples
+from freebraid import enumerate_classes, f_signature, inversion_triples
 from freebraid.oracle import oracle_classes_by_bfs
 from freebraid.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
@@ -154,8 +154,9 @@ def test_verify_catches_class_size_mismatch(capsys, monkeypatch):
     # An engine that counts one word too many in every class.
     grown = lambda w, cap=None: [c._replace(size=c.size + 1) for c in enumerate_classes(w, cap)]
     monkeypatch.setattr(cli, "enumerate_classes", grown)
-    code, _, err = run(capsys, *GOLDEN_D4)
+    code, out, err = run(capsys, *GOLDEN_D4)
     assert code == EXIT_VERIFY
+    assert out == ""
     assert "verification failed: class size disagrees with BFS oracle for 2 1 3 2 4 2 1 3 2\n" in err
 
 
@@ -240,15 +241,28 @@ def spy(monkeypatch, name):
     ids=["analyze", "analyze_text", "graph_parity", "dot_parity", "graph", "dot", "graph_text"],
 )
 def test_one_signature_per_class_and_only_when_printed(capsys, monkeypatch, argv, signed):
-    signatures = spy(monkeypatch, "f_signature")
+    passes, reads = [], []
+    vectors = cli.signature_vectors
+
+    def logged(w, precedence, cap):
+        passes.append(w)
+        for bits in vectors(w, precedence, cap):
+            reads.append(bits)
+            yield bits
+
+    monkeypatch.setattr(cli, "signature_vectors", logged)
     graphs = spy(monkeypatch, "commutation_graph")
     code, _, err = run(capsys, *argv)
     assert code == EXIT_OK, err
     ((_, graph),) = graphs
-    assert [args[1] for args, _ in signatures] == (list(graph.vertices) if signed else [])
-    # The element's word is row 0's, and parity is read off the signature.
+    # One pass over the search keys, reading each class's bits once, in
+    # class order, and only when the command prints a signature.
+    assert len(passes) == (1 if signed else 0)
+    assert reads == ([f_signature(w, c).vector() for w in passes for c in graph.vertices])
+    # The element's word is the first class's, and parity is read off the bits.
     assert not hasattr(cli, "canonical_word")
     assert not hasattr(cli, "parity")
+    assert not hasattr(cli, "f_signature")
 
 
 # --- graph ---
@@ -325,6 +339,23 @@ def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "reduce", "-g", "Zq", "-w", "1")
     assert code == EXIT_PARSE
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "--perm", "654321", "--max-words", "100"), "more than 100 commutation classes"),
+        (("graph", "--perm", "654321", "--max-words", "100", "--format", "text"),
+         "more than 100 commutation classes"),
+        (("analyze", "-g", "D4", "-w", "2 1 3 4 2 4 3 1 2", "--verify", "--max-words", "20"),
+         "more than 20 reduced words"),
+    ],
+)
+def test_nothing_is_printed_before_a_cap_exit(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert message in err
 
 
 def test_cap_exit_with_partial_count(capsys):
@@ -430,6 +461,16 @@ GOLDEN_STDOUT = {
         "051443e45fb4e3eb1f74c6eb431a7761a9f67a80942a56480e7e2564180f418b",
     ("graph", "--perm", "4231", "--parity", "--format", "text"):
         "990c03a7aaea75af71835ed25f1aac26a1df08ed4ab1e455c95d52b28a79e3d2",
+    ("analyze", "-g", "1-2,2-3,1-3", "-w", "1,2,3,1,2,3,2", "--verify"):
+        "53a989de00375c3fd0eefb36e870e81f70149887daf8822c44654299db16d473",
+    ("graph", "--perm", "654321"):
+        "b87469f769540deec00a537faeb921b798f3e33a94706d0efb0c4e22df076bb4",
+    ("analyze", "-g", "A3", "-w", ""):
+        "a311a379192f5a5de651c6956c98dc7396e96ef6852259db2f9bb63e5996bb62",
+    ("reduce", "-g", "A3", "-w", "2 2"):
+        "e7de6e35cb950563214283a39235cdfbc1ee8a5e27fb3661f4549510627fdeef",
+    ("analyze", "-g", "A300", "-w", "300 299 300"):
+        "0780a4bd7bbc03a4a9cd7d0c68977991f383e4db052ad4c7d59ea128c8ff72bc",
 }
 
 
@@ -437,9 +478,40 @@ GOLDEN_STDOUT = {
     "argv",
     list(GOLDEN_STDOUT),
     ids=["w0_A5", "D4_verify_text", "E6_dot", "two_paths_revlex", "reduce_A2", "enumerate_6",
-         "graph_A2_text", "graph_4231_parity_text"],
+         "graph_A2_text", "graph_4231_parity_text", "triangle_verify", "graph_w0_A5",
+         "identity_A3", "reduce_A3_to_e", "A300_letters_above_255"],
 )
 def test_stdout_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_OK, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        [True, False, None, 0, -7, 10**30],
+        [[1, 2], [3], [], [[4, [5]]]],
+        {"q": 'say "hi"', "b": "back\\slash", "u": "é, 中, \U0001f600", "n": "a\nb\tc\x00"},
+        {"z": 1, "a": [True, 1, "x"], "m": {"k": None, "j": [{"x": [1]}]}},
+        "",
+        3,
+        None,
+    ],
+)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_emit_streams_an_iterator_as_a_list(capsys):
+    args = argparse.Namespace(format="json")
+    rows = [{"b": [1, 2], "a": "x"}, {"b": [], "a": "é"}]
+    doc = {"rows": iter(rows), "empty": iter([]), "n": 2, "list": [1]}
+    cli._emit(doc, args)
+    expected = {**doc, "rows": rows, "empty": []}
+    assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    cli._emit({}, args)
+    assert capsys.readouterr().out == "{}\n"
