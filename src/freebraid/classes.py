@@ -8,15 +8,16 @@ exactly the linear extensions of the heap.
 
 Classes are found by a breadth-first search whose states are classes, not
 words.  A class is held as its lex-least word (its heap's first linear
-extension); its root sequence is derived from that word when asked for.
-In the search each piece also carries the index of its root in the root
-sequence of canonical_word(w).  Long braid moves are the edges: two
-consecutive s-pieces p < r admit one exactly when the open heap interval
-(p, r) is a single piece q.  The letters between p and r then commute with
-s, so the move rewrites s A t B s as A t s t B and reverses the root indices
-of the three pieces; inserting the moved pieces one by one into the
-unchanged prefix before p gives the new class's lex-least word.  The move
-labels {root(p), root(q), root(r)} are exactly the contractible triples.
+extension) and its search key; its root sequence is derived from that word
+when asked for.  Only in the search queue does each piece also carry the
+index of its root in the root sequence of canonical_word(w), for the move
+labels.  Long braid moves are the edges: two consecutive s-pieces p < r
+admit one exactly when the open heap interval (p, r) is a single piece q.
+The letters between p and r then commute with s, so the move rewrites
+s A t B s as A t s t B and reverses the root indices of the three pieces;
+inserting the moved pieces one by one into the unchanged prefix before p
+gives the new class's lex-least word.  The move labels
+{root(p), root(q), root(r)} are exactly the contractible triples.
 
 The search keys a class by the XOR of one bit per move label on a path to
 it from the start class, and braids out a class's word only when its key is
@@ -35,13 +36,15 @@ and the empty heap counts 1.  Deleting a maximal piece from a lex-least word
 leaves a lex-least word (every letter after the piece commutes with it), so
 each sub-heap is keyed by its word alone and the classes share one memo.
 It holds every sub-heap of every class, as bytes, until the sizes are done.
-Reduced words are listed, as linear extensions of each class, only by
-enumerate_reduced_words and class_partition.  Caps: the class search counts
-commutation classes, the size memo counts the entries one class adds at one
-length (distinct down-sets of that class's heap of one size, never more than
-the class has words), and word listing counts reduced words; each raises
-CapExceededError once its tally passes the cap.  An engine is built for one
-element under one cap and bounds all its work by that cap.
+Reduced words are listed only by enumerate_reduced_words and class_partition,
+by the same recursion: each maximal piece of a class's lex-least word in turn
+ends the word, after every listing of the heap without it, each piece
+carrying its root.  Caps: the class search counts commutation classes, the
+size memo counts the entries one class adds at one length (distinct down-sets
+of that class's heap of one size, never more than the class has words), and
+word listing counts reduced words; each raises CapExceededError once its
+tally passes the cap.  An engine is built for one element under one cap and
+bounds all its work by that cap.
 
 The class signature records, per contractible triple, whether the heap order
 of the two summands agrees with a fixed precedence on roots; flipping one
@@ -173,23 +176,6 @@ def _closed_neighborhoods(g: CoxeterGraph) -> list[int]:
     return closed
 
 
-def _heap(word: Word, closed: list[int]) -> tuple[dict[int, int], tuple[int, ...]]:
-    """The heap of `word`, its pieces as bits in word order.
-
-    Returns, per piece bit, the mask of the earlier pieces whose letter is
-    equal or adjacent to its own (all of them lie below it), and each
-    letter's chain of pieces, by letter.  A piece can join a down-set when
-    it is the lowest piece of its chain outside the set and its mask is
-    inside.
-    """
-    chains: dict[int, int] = {}
-    for p, s in enumerate(word):
-        chains[s] = chains.get(s, 0) | 1 << p
-    near = {s: sum(chain for t, chain in chains.items() if closed[s] >> t & 1) for s in chains}
-    below = {1 << p: near[s] & ((1 << p) - 1) for p, s in enumerate(word)}
-    return below, tuple(chains[s] for s in sorted(chains))
-
-
 def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]:
     """Word positions (p, q, r) of every long braid move on the class heap.
 
@@ -308,49 +294,20 @@ def _class_sizes(words: list[Word], closed: list[int], cap: int) -> list[int]:
     return sizes
 
 
-def _linear_extensions(
-    word: Word, idx: tuple[int, ...], closed: list[int]
-) -> Iterator[tuple[Word, tuple[int, ...]]]:
-    """Every linear extension of the heap of `word` with its root indices, in
-    lexicographic order."""
-    below, chains = _heap(word, closed)
-    full = (1 << len(word)) - 1
-    letters: list[int] = []
-    roots: list[int] = []
-
-    def grow(down: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
-        if down == full:
-            yield tuple(letters), tuple(roots)
-            return
-        for chain in chains:
-            free = chain & ~down
-            bit = free & -free
-            if not free or below[bit] & ~down:
-                continue
-            p = bit.bit_length() - 1
-            letters.append(word[p])
-            roots.append(idx[p])
-            yield from grow(down | bit)
-            letters.pop()
-            roots.pop()
-
-    return grow(0)
-
-
 class _Engine:
     """The commutation classes of one element, found by a search over heaps.
 
     ``base`` is the root sequence of canonical_word(w), and of the start
     class.  ``classes`` maps each class's lex-least word, in sorted order, to
-    (root indices, key), where ``idx[p]`` indexes into ``base`` the root
-    carried by the piece at word position p.  ``edges`` joins classes one
-    long braid move apart and ``labels`` holds the sorted move labels, i.e.
-    the contractible triples.  The search keys a class by its orientation of
-    the contractible triples relative to the start class, a neighbour's key
-    being ``key ^ bits[label]``; ``places`` holds, per sorted label, the
-    place of its key bit.  ``cap`` bounds the classes found, the entries one
-    class adds at one length to the size memo and the words ``members``
-    lists.
+    its key.  The search queue alone holds each class's root indices
+    ``idx``, where ``idx[p]`` indexes into ``base`` the root carried by the
+    piece at word position p.  ``edges`` joins classes one long braid move
+    apart and ``labels`` holds the sorted move labels, i.e. the contractible
+    triples.  The search keys a class by its orientation of the contractible
+    triples relative to the start class, a neighbour's key being
+    ``key ^ bits[label]``; ``places`` holds, per sorted label, the place of
+    its key bit.  ``cap`` bounds the classes found, the entries one class
+    adds at one length to the size memo and the words ``members`` lists.
     """
 
     __slots__ = (
@@ -386,16 +343,12 @@ class _Engine:
         self.cap = cap
         self.base = base
         self.closed = closed
-        self.classes = {queue[k][0]: queue[k][1:] for k in order}
+        self.classes = {queue[k][0]: queue[k][2] for k in order}
         self.edges = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs)
         self.labels = tuple(t for t, _ in labels)
         self.places = tuple(j for _, j in labels)
         self._sizes: list[int] | None = None
         self._flips: dict[Callable[[Root], object], int] = {}
-
-    def sequence(self, idx: tuple[int, ...]) -> tuple[Root, ...]:
-        """Root sequence of a word whose pieces carry root indices ``idx``."""
-        return tuple(self.base[i] for i in reversed(idx))
 
     def sizes(self) -> list[int]:
         if self._sizes is None:
@@ -421,20 +374,50 @@ class _Engine:
     def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
         return tuple(CommutationClass(g, word, k) for word, k in zip(self.classes, self.sizes()))
 
-    def members(self) -> list[list[tuple[Word, tuple[int, ...]]]]:
-        """Per class, its reduced words with root indices."""
-        cap = self.cap
-        count = 0
-        out = []
-        for word, (idx, _) in self.classes.items():
-            members = []
-            for member in _linear_extensions(word, idx, self.closed):
-                count += 1
-                if count > cap:
-                    raise CapExceededError(f"more than {cap} reduced words", count=count)
-                members.append(member)
-            out.append(members)
-        return out
+    def members(self, g: CoxeterGraph) -> Iterator[tuple[list[Word], list[tuple[Root, ...]]]]:
+        """Per class, in class order, its reduced words and their root
+        sequences, listed by peeling maximal pieces off its lex-least word.
+
+        The pieces still in the heap are a mask of word positions, and each
+        piece carries its root (a root sequence runs right to left).  A
+        backward scan over the mask finds the maximal pieces as the memo's
+        does; each in turn is written at the last open place of the word and
+        the first open place of its root sequence, and the rest is peeled.
+        """
+        cap, closed = self.cap, self.closed
+        left = cap
+        for word in self.classes:
+            carried = root_sequence(g, word).roots[::-1]
+            support = sum(1 << s for s in set(word))
+            letters = list(word)
+            roots = list(carried)
+            words: list[Word] = []
+            seqs: list[tuple[Root, ...]] = []
+
+            def peel(mask: int, top: int) -> None:
+                if top < 0:
+                    if len(words) == left:
+                        raise CapExceededError(f"more than {cap} reduced words", count=cap + 1)
+                    words.append(tuple(letters))
+                    seqs.append(tuple(roots))
+                    return
+                blocked = 0
+                rest = mask
+                while rest:
+                    p = rest.bit_length() - 1
+                    rest ^= 1 << p
+                    s = word[p]
+                    if not blocked >> s & 1:
+                        letters[top] = s
+                        roots[~top] = carried[p]
+                        peel(mask ^ 1 << p, top - 1)
+                    blocked |= closed[s]
+                    if not support & ~blocked:
+                        break
+
+            peel((1 << len(word)) - 1, len(word) - 1)
+            left -= len(words)
+            yield words, seqs
 
 
 # The engine of the last (element, cap) pair: every use within one fb command
@@ -455,8 +438,7 @@ def _engine(w: Element, cap: int | None = None) -> _Engine:
 def enumerate_reduced_words(w: Element, cap: int | None = None) -> list[Word]:
     """All reduced words of w, lexicographically sorted; ``cap`` counts words
     (and so also classes, which are never more)."""
-    members = _engine(w, cap).members()
-    return sorted(word for block in members for word, _ in block)
+    return sorted(word for words, _ in _engine(w, cap).members(w.graph) for word in words)
 
 
 def enumerate_classes(w: Element, cap: int | None = None) -> list[CommutationClass]:
@@ -467,8 +449,7 @@ def enumerate_classes(w: Element, cap: int | None = None) -> list[CommutationCla
 def class_partition(w: Element, cap: int | None = None) -> list[frozenset[tuple[Root, ...]]]:
     """Member root sequences per class (as root tuples), in class order;
     ``cap`` counts root sequences."""
-    e = _engine(w, cap)
-    return [frozenset(e.sequence(idx) for _, idx in block) for block in e.members()]
+    return [frozenset(seqs) for _, seqs in _engine(w, cap).members(w.graph)]
 
 
 def f_signature(
@@ -476,7 +457,7 @@ def f_signature(
 ) -> FSignature:
     """The signature of class c, read off its search key."""
     e = _engine(w, cap)
-    _, key = e.classes.get(c.canonical_word, (None, None))
+    key = e.classes.get(c.canonical_word)
     if key is None or c.graph != w.graph:
         raise ValueError("class does not belong to this element")
     return FSignature(tuple(zip(e.labels, e.signature(key, precedence))))
@@ -489,7 +470,7 @@ def signature_vectors(
     ``f_signature(w, c, precedence, cap).vector()`` gives them, each read
     once off the class's search key."""
     e = _engine(w, cap)
-    return (e.signature(key, precedence) for _, key in e.classes.values())
+    return (e.signature(key, precedence) for key in e.classes.values())
 
 
 def parity(

@@ -311,6 +311,8 @@ def cmd_enumerate(args) -> int:
         raise ParseError(f"unsupported type {args.type!r}; only A is available")
     if args.n < 1:
         raise ParseError("rank must be at least 1")
+    if args.limit < 1:
+        raise ParseError(f"--limit must be at least 1, not {args.limit}")
     if args.n > args.limit:
         raise CapExceededError(f"rank {args.n} exceeds the enumeration limit {args.limit}")
     rows = []

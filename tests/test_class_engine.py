@@ -34,17 +34,11 @@ from freebraid import (
     is_bipartite,
     is_freely_braided,
     parse_graph,
+    root_sequence,
     times_generator,
 )
 from freebraid.cli import EXIT_CAP, EXIT_OK, main
-from freebraid.classes import (
-    _class_sizes,
-    _closed_neighborhoods,
-    _engine,
-    _heap,
-    _least_extension,
-    _linear_extensions,
-)
+from freebraid.classes import _class_sizes, _closed_neighborhoods, _engine, _least_extension
 from freebraid.oracle import oracle_classes_by_bfs, oracle_contractible
 from freebraid.typea import perm_to_element
 from conftest import GOLDEN_D4_WORD, group_by_length, random_elements
@@ -90,24 +84,24 @@ def test_the_engine_braids_once_per_class(monkeypatch):
 
 def test_analyze_builds_no_heap_and_counts_sizes_once(monkeypatch, capsys):
     """The sizes of all 908 classes of w0(A5) come from one run of the shared
-    size memo, and no class heap is built."""
-    calls = {"_heap": 0, "_class_sizes": 0}
+    size memo, and no class heap is peeled to list its words."""
+    calls = {"_class_sizes": 0, "members": 0}
 
-    def counting(name):
-        fn = getattr(freebraid.classes, name)
+    def counting(owner, name):
+        fn = getattr(owner, name)
 
         def counted(*args):
             calls[name] += 1
             return fn(*args)
 
-        return counted
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(freebraid.classes, name, counting(name))
+    counting(freebraid.classes, "_class_sizes")
+    counting(freebraid.classes._Engine, "members")
     freebraid.classes._built.cache_clear()
     assert main(["analyze", "--perm", "654321"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == {"_heap": 0, "_class_sizes": 1}
+    assert calls == {"_class_sizes": 1, "members": 0}
 
 
 # Elements on a path, a branched, an exceptional, a cyclic (affine A~2) and
@@ -124,13 +118,16 @@ SCAN_CASES = [
 @pytest.mark.parametrize("g, word", SCAN_CASES)
 def test_insertion_gives_the_first_linear_extension(g, word):
     """From any word of a class, inserting its pieces one by one gives the
-    first linear extension in lexicographic order, root indices included,
-    and that is the word and indices the engine holds for the class."""
+    least of the class's listed words, each piece carrying its root (a
+    root sequence runs right to left), and that is the word the engine holds
+    for the class."""
     e = _engine(element_of(g, word))
-    for (least, (least_idx, _)), members in zip(e.classes.items(), e.members()):
-        for member, idx in members:
-            first = next(_linear_extensions(member, idx, e.closed))
-            assert _least_extension(member, idx, e.closed, 0) == first == (least, least_idx)
+    for least, (words, seqs) in zip(e.classes, e.members(g)):
+        assert len(set(words)) == len(words) and min(words) == least
+        first = (least, root_sequence(g, least).roots[::-1])
+        for member, seq in zip(words, seqs):
+            assert seq == root_sequence(g, member).roots
+            assert _least_extension(member, seq[::-1], e.closed, 0) == first
 
 
 @pytest.mark.parametrize("g, word", SCAN_CASES)
@@ -208,6 +205,7 @@ A3_PLUS_A2 = CoxeterGraph(5, frozenset({(1, 2), (2, 3), (4, 5)}))
 @given(graph_and_word())
 @example((AFFINE_A2, (1, 2, 1, 3, 2, 1, 3)))
 @example((A3_PLUS_A2, (1, 2, 1, 4, 5, 4, 3)))
+@example((CoxeterGraph(5, frozenset({(1, 2), (3, 4)})), (1, 2, 3, 1)))
 def test_engine_matches_oracles_on_random_graphs(case):
     g, word = case
     w = element_of(g, word)
@@ -259,13 +257,25 @@ def test_class_size_dp_respects_the_cap():
 def linear_extension_count(word, closed) -> int:
     """Reference: the linear extensions of the heap of `word`, counted layer
     by layer over its down-sets, one heap per class (the size DP the shared
-    memo replaced)."""
-    below, chains = _heap(word, closed)
+    memo replaced).
+
+    Pieces are bits in word order.  A piece lies above every earlier piece
+    whose letter is equal or adjacent to its own, and it can join a down-set
+    when it is the lowest piece of its letter's chain outside the set and
+    every piece below it is inside.
+    """
+    chains: dict[int, int] = {}
+    for p, s in enumerate(word):
+        chains[s] = chains.get(s, 0) | 1 << p
+    below = {
+        1 << p: sum(chain for t, chain in chains.items() if closed[s] >> t & 1) & ((1 << p) - 1)
+        for p, s in enumerate(word)
+    }
     ways = {0: 1}
     for _ in word:
         grown: dict[int, int] = {}
         for down, k in ways.items():
-            for chain in chains:
+            for chain in chains.values():
                 free = chain & ~down
                 bit = free & -free
                 if free and not below[bit] & ~down:

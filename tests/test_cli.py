@@ -330,6 +330,10 @@ def test_enumerate_rank_limit(capsys):
     assert code == EXIT_PARSE
     code, _, err = run(capsys, "enumerate", "--type", "B", "-n", "2")
     assert code == EXIT_PARSE
+    for limit in ("0", "-5"):
+        code, out, err = run(capsys, "enumerate", "-n", "1", "--limit", limit)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert f"--limit must be at least 1, not {limit}" in err
 
 
 # --- exit codes and caps ---
