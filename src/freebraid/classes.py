@@ -26,8 +26,8 @@ non-orthogonal pairs of roots (its heap order), and such a pair lies in at
 most one inversion triple.  A short move reorders no such pair; a long move
 reverses exactly the three pairs of its own triple, contractible by
 definition.  So pairs outside contractible triples keep one order in every
-class, and the key is the class's orientation of the contractible triples
-XOR the start class's: it is path-independent, and equal keys mean one class.
+class, and a key XOR the start class's lex signature, the XOR taken once
+after the search, is the class's lex signature: equal keys mean one class.
 
 A class's size is the number of linear extensions of its heap, counted by
 one recursion for all of an element's classes: the count of a heap is the
@@ -48,9 +48,9 @@ bounds all its work by that cap.
 
 The class signature records, per contractible triple, whether the heap order
 of the two summands agrees with a fixed precedence on roots; flipping one
-long braid move flips exactly one bit.  The bits are read off the search
-key: a triple's bit is its key bit XOR the start class's orientation of the
-triple XOR the precedence's.
+long braid move flips exactly one bit.  Another precedence's bits are the
+key XOR one mask set on the triples whose summands it orders against lex,
+so revlex bits are lex bits XOR one vector per element.
 """
 
 from __future__ import annotations
@@ -297,22 +297,20 @@ def _class_sizes(words: list[Word], closed: list[int], cap: int) -> list[int]:
 class _Engine:
     """The commutation classes of one element, found by a search over heaps.
 
-    ``base`` is the root sequence of canonical_word(w), and of the start
-    class.  ``classes`` maps each class's lex-least word, in sorted order, to
-    its key.  The search queue alone holds each class's root indices
-    ``idx``, where ``idx[p]`` indexes into ``base`` the root carried by the
-    piece at word position p.  ``edges`` joins classes one long braid move
-    apart and ``labels`` holds the sorted move labels, i.e. the contractible
-    triples.  The search keys a class by its orientation of the contractible
-    triples relative to the start class, a neighbour's key being
-    ``key ^ bits[label]``; ``places`` holds, per sorted label, the place of
-    its key bit.  ``cap`` bounds the classes found, the entries one class
-    adds at one length to the size memo and the words ``members`` lists.
+    ``classes`` maps each class's lex-least word, in sorted order, to its key,
+    its lex signature.  The search queue alone holds each class's root
+    indices ``idx``: ``idx[p]`` places the root of the piece at word position
+    p in the root sequence of canonical_word(w), the start class's word.
+    ``edges`` joins classes one long braid move apart and ``labels`` holds
+    the sorted move labels, i.e. the contractible triples.  The search keys
+    a class by its orientation of them relative to the start class, a
+    neighbour's key being ``key ^ bits[label]``; ``places`` holds, per sorted
+    label, the place of its key bit.  ``cap`` bounds the classes found, the
+    entries one class adds at one length to the size memo and the words
+    ``members`` lists.
     """
 
-    __slots__ = (
-        "cap", "base", "closed", "classes", "edges", "labels", "places", "_sizes", "_flips"
-    )
+    __slots__ = ("cap", "closed", "classes", "edges", "labels", "places", "_sizes")
 
     def __init__(self, w: Element, cap: int):
         g = w.graph
@@ -325,7 +323,7 @@ class _Engine:
         pairs: set[tuple[int, int]] = set()
         for i, (word, idx, key) in enumerate(queue):
             for p, q, r in _long_moves(word, closed):
-                a, b = sorted((idx[p], idx[r]), key=base.__getitem__)
+                a, b = (idx[p], idx[r]) if idx[p] < idx[r] else (idx[r], idx[p])
                 next_key = key ^ bits.setdefault((a, idx[q], b), 1 << len(bits))
                 j = found.get(next_key)
                 if j is None:
@@ -336,39 +334,32 @@ class _Engine:
                 pairs.add((i, j) if i < j else (j, i))
         order = sorted(range(len(queue)), key=queue.__getitem__)
         rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
-        labels = sorted(
-            (InversionTriple(base[a], base[m], base[b]), bit.bit_length() - 1)
-            for (a, m, b), bit in bits.items()
-        )
+        start_lex, labels = 0, []
+        for (a, m, b), bit in bits.items():
+            if base[a] > base[b]:  # the start class puts root a before b: lex bit 1
+                start_lex, a, b = start_lex | bit, b, a
+            labels.append((InversionTriple(base[a], base[m], base[b]), bit.bit_length() - 1))
+        labels.sort()
         self.cap = cap
-        self.base = base
         self.closed = closed
-        self.classes = {queue[k][0]: queue[k][2] for k in order}
+        self.classes = {queue[k][0]: queue[k][2] ^ start_lex for k in order}
         self.edges = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs)
         self.labels = tuple(t for t, _ in labels)
         self.places = tuple(j for _, j in labels)
         self._sizes: list[int] | None = None
-        self._flips: dict[Callable[[Root], object], int] = {}
 
     def sizes(self) -> list[int]:
         if self._sizes is None:
             self._sizes = _class_sizes(list(self.classes), self.closed, self.cap)
         return self._sizes
 
-    def flips(self, precedence: Precedence) -> int:
-        """The key bits of the labels the start class orders against ``precedence``."""
-        if precedence.key not in self._flips:
-            pos = self.base.index
-            self._flips[precedence.key] = sum(
-                1 << j
-                for t, j in zip(self.labels, self.places)
-                if (pos(t.low) < pos(t.high)) != precedence.precedes(t.low, t.high)
-            )
-        return self._flips[precedence.key]
+    def mask(self, precedence: Precedence) -> int:
+        """The key bits of the labels whose summands ``precedence`` orders against lex."""
+        pairs = zip(self.labels, self.places)
+        return sum(1 << j for t, j in pairs if not precedence.precedes(t.low, t.high))
 
-    def signature(self, key: int, precedence: Precedence) -> tuple[int, ...]:
-        """The signature bits of the class searched under ``key``, per sorted label."""
-        x = key ^ self.flips(precedence)
+    def bits(self, x: int) -> tuple[int, ...]:
+        """The bits of ``x``, per sorted label."""
         return tuple([x >> j & 1 for j in self.places])
 
     def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
@@ -460,7 +451,7 @@ def f_signature(
     key = e.classes.get(c.canonical_word)
     if key is None or c.graph != w.graph:
         raise ValueError("class does not belong to this element")
-    return FSignature(tuple(zip(e.labels, e.signature(key, precedence))))
+    return FSignature(tuple(zip(e.labels, e.bits(key ^ e.mask(precedence)))))
 
 
 def signature_vectors(
@@ -468,9 +459,10 @@ def signature_vectors(
 ) -> Iterator[tuple[int, ...]]:
     """Per class of w, in class order, its signature bits as
     ``f_signature(w, c, precedence, cap).vector()`` gives them, each read
-    once off the class's search key."""
+    once off the class's key under one mask."""
     e = _engine(w, cap)
-    return (e.signature(key, precedence) for key in e.classes.values())
+    mask = e.mask(precedence)
+    return (e.bits(key ^ mask) for key in e.classes.values())
 
 
 def parity(

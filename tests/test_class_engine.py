@@ -133,16 +133,27 @@ def test_insertion_gives_the_first_linear_extension(g, word):
 @pytest.mark.parametrize("g, word", SCAN_CASES)
 def test_signatures_read_off_the_key_match_heap_positions(g, word):
     """A bit is 1 exactly when the class orders a triple's two summands
-    against the precedence."""
+    against the precedence.  A class's key, read per sorted label, is its lex
+    signature, and its revlex bits are its lex bits XOR one vector shared by
+    every class of the element."""
     w = element_of(g, word)
+    e = _engine(w)
+    differences = set()
     for c in enumerate_classes(w):
         pos = {r: i for i, r in enumerate(c.canonical.roots)}
+        vectors = []
         for precedence in (LEX, REVLEX):
             expected = [
                 (t, int((pos[t.low] < pos[t.high]) != precedence.precedes(t.low, t.high)))
                 for t in sorted(contractible_triples(w))
             ]
             assert list(f_signature(w, c, precedence).entries) == expected
+            vectors.append([b for _, b in expected])
+        lex, revlex = vectors
+        key = e.classes[c.canonical_word]
+        assert [key >> j & 1 for j in e.places] == lex
+        differences.add(tuple(a ^ b for a, b in zip(lex, revlex)))
+    assert len(differences) == 1
 
 
 def catalan(n: int) -> int:
