@@ -20,7 +20,7 @@ False
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .coxeter import (
     CapExceededError,
@@ -206,45 +206,38 @@ def enumerate_freely_braided(
     return len(found), tuple(found) if members else None
 
 
-def _heap_count(p: Permutation, counts: dict[Permutation, int]) -> int:
-    """Commutation classes of p by inclusion-exclusion over its maximal pieces.
+def class_counts(n: int) -> dict[Permutation, int]:
+    """Commutation classes of every permutation of rank n (n! entries), keyed
+    by one-line notation, by inclusion-exclusion over maximal pieces.
 
     The maximal pieces of a heap of p are pairwise commuting right descents,
     and the heaps whose maximal pieces include a set J of such descents are
-    the heaps of p*w_J with J stacked on top (Cartier-Foata).  So the count
-    is the alternating sum of ``counts`` over nonempty sets J of right
-    descents, no two at adjacent positions; every p*w_J is shorter than p.
+    the heaps of p*w_J with J stacked on top (Cartier-Foata).  So C(e) = 1,
+    and C(p) is the alternating sum of C(p*w_J) over nonempty sets J of
+    right descents, no two at adjacent positions.  Every p*w_J is shorter
+    than p, so the recursion ends, at most C(n, 2) calls deep.
     """
-    descents = [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
-    total = 0
-    # (p*w_J, +1 when |J| is even, first position J may still add)
-    stack = [(p, 1, 0)]
-    while stack:
-        q, sign, lowest = stack.pop()
-        for i in descents:
-            if i >= lowest:
-                r = q[:i] + (q[i + 1], q[i]) + q[i + 2:]
-                total += sign * counts[r]
-                stack.append((r, -sign, i + 2))
-    return total
-
-
-def class_counts(n: int) -> dict[Permutation, int]:
-    """Commutation classes of every permutation of rank n (n! entries), keyed
-    by one-line notation, computed level by level up the right weak order
-    from e."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    identity = tuple(range(1, n + 1))
-    counts = {identity: 1}
-    level = [identity]
-    while level:
-        above: dict[Permutation, None] = {}
-        for p in level:
-            for i in range(n - 1):
-                if p[i] < p[i + 1]:
-                    above[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] = None
-        for p in above:
-            counts[p] = _heap_count(p, counts)
-        level = list(above)
+    counts = {tuple(range(1, n + 1)): 1}
+
+    def count(p: Permutation) -> int:
+        descents = [i for i in range(n - 1) if p[i] > p[i + 1]]
+        total = 0
+        # (p*w_J, +1 when |J| is even, first position J may still add)
+        stack = [(p, 1, 0)]
+        while stack:
+            q, sign, lowest = stack.pop()
+            for i in descents:
+                if i >= lowest:
+                    r = q[:i] + (q[i + 1], q[i]) + q[i + 2:]
+                    k = counts.get(r)
+                    total += sign * (count(r) if k is None else k)
+                    stack.append((r, -sign, i + 2))
+        counts[p] = total
+        return total
+
+    for p in permutations(range(1, n + 1)):
+        if p not in counts:
+            count(p)
     return counts

@@ -27,6 +27,7 @@ from freebraid import (
     root_sequence,
     to_dot,
 )
+from freebraid.coxeter import DEFAULT_MAX_WORD_LENGTH
 from freebraid.oracle import oracle_classes_by_bfs, oracle_reduced_words
 from conftest import GOLDEN_D4_WORD, brute_reduced_words, group_by_length
 
@@ -74,6 +75,14 @@ def test_enumerate_words_cap_above_the_class_count():
     with pytest.raises(CapExceededError, match="more than 10 reduced words") as info:
         enumerate_reduced_words(W0_S4, cap=10)
     assert info.value.count == 11
+
+
+def test_word_length_cap_raises_with_no_partial_count():
+    w = element_of(parse_graph("E8"), (1, 2, 3, 4, 5, 6, 7, 8) * 8 + (1,))
+    assert w.length == DEFAULT_MAX_WORD_LENGTH + 1
+    with pytest.raises(CapExceededError, match="word-length cap 64") as info:
+        enumerate_classes(w)
+    assert info.value.count == 0
 
 
 def test_enumerate_words_max_length_guard():

@@ -368,6 +368,15 @@ def test_cap_exit_with_partial_count(capsys):
     assert "partial count: 6" in err
 
 
+def test_word_length_cap_exits_before_any_search(capsys):
+    # Eight Coxeter elements of E8 and one more letter: a reduced word of 65.
+    word = " ".join(["1 2 3 4 5 6 7 8"] * 8 + ["1"])
+    code, out, err = run(capsys, "analyze", "-g", "E8", "-w", word)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.strip() == "error: element length 65 exceeds the word-length cap 64 (partial count: 0)"
+
+
 def test_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("FB_MAX_WORDS", "5")
     code, _, err = run(capsys, "analyze", "-g", "A3", "-w", "1 2 1 3 2 1")

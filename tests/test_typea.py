@@ -227,8 +227,8 @@ def test_freely_braided_achieve_bound_s4():
 KNUTH_A006245 = (1, 1, 2, 8, 62, 908, 24_698, 1_232_944)
 
 
-def test_class_counts_match_the_engine_s1_to_s5():
-    for n in range(1, 6):
+def test_class_counts_match_the_engine_s1_to_s6():
+    for n in range(1, 7):
         counts = class_counts(n)
         assert set(counts) == set(all_permutations(n))
         for p in all_permutations(n):
