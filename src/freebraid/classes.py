@@ -11,7 +11,7 @@ words.  A class is held as its lex-least word (its heap's first linear
 extension) and its search key; its root sequence is derived from that word
 when asked for.  Only in the search queue does each piece also carry the
 index of its root in the root sequence of canonical_word(w), for the move
-labels.  Long braid moves are the edges: two consecutive s-pieces p < r
+labels.  Long braid moves join classes: two consecutive s-pieces p < r
 admit one exactly when the open heap interval (p, r) is a single piece q.
 The letters between p and r then commute with s, so the move rewrites
 s A t B s as A t s t B and reverses the root indices of the three pieces;
@@ -28,6 +28,22 @@ reverses exactly the three pairs of its own triple, contractible by
 definition.  So pairs outside contractible triples keep one order in every
 class, and a key XOR the start class's lex signature, the XOR taken once
 after the search, is the class's lex signature: equal keys mean one class.
+A signature bit is 1 when the heap orders its triple's two summands against
+a fixed precedence on roots; another precedence's bits are the key XOR one
+mask, so revlex bits are lex bits XOR one vector per element.
+
+The keys also give the edges.  A long move flips its own label's bit alone,
+and conversely classes C and C' whose keys differ only in the bit of
+T = {a, a+b, b} are one long move apart, so the commutation graph is the
+subgraph of the N-cube induced on the keys (for w0 in type A, the cover
+relation of the higher Bruhat order B(n, 2): Manin and Schechtman, 1989;
+Ziegler, 1993).  Proof: every non-orthogonal pair outside T is ordered alike
+in C and C', by another triple's bit or in every class.  Were a root g not
+in T strictly between two roots of T in C's heap order, a chain of such
+pairs would run from a or a+b, through g, to a+b or b; it survives in C',
+where T is reversed, and closes a cycle.  So T is an interval of C's heap,
+some word of C carries it consecutively, and the long move there gives the
+class keyed by C's key XOR T's bit, which is C' as keys are injective.
 
 A class's size is the number of linear extensions of its heap, counted by
 one recursion for all of an element's classes: the count of a heap is the
@@ -45,12 +61,6 @@ of that class's heap of one size, never more than the class has words), and
 word listing counts reduced words; each raises CapExceededError once its
 tally passes the cap.  An engine is built for one element under one cap and
 bounds all its work by that cap.
-
-The class signature records, per contractible triple, whether the heap order
-of the two summands agrees with a fixed precedence on roots; flipping one
-long braid move flips exactly one bit.  Another precedence's bits are the
-key XOR one mask set on the triples whose summands it orders against lex,
-so revlex bits are lex bits XOR one vector per element.
 """
 
 from __future__ import annotations
@@ -236,18 +246,6 @@ def _least_extension(
     return tuple(letters), tuple(roots)
 
 
-def _cap(cap: int | None) -> int:
-    return cap if cap is not None else DEFAULT_SEQUENCE_CAP
-
-
-def _too_many(cap: int) -> CapExceededError:
-    return CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
-
-
-def _too_wide(cap: int) -> CapExceededError:
-    return CapExceededError(f"more than {cap} down-sets of one size in a class heap", count=cap + 1)
-
-
 def _class_sizes(words: list[Word], closed: list[int], cap: int) -> list[int]:
     """Number of linear extensions of the heap of each lex-least word in
     ``words``, the classes of one element (so all on the same letters), from
@@ -272,7 +270,9 @@ def _class_sizes(words: list[Word], closed: list[int], cap: int) -> list[int]:
         n = len(word)
         added[n] += 1
         if added[n] > cap:
-            raise _too_wide(cap)
+            raise CapExceededError(
+                f"more than {cap} down-sets of one size in a class heap", count=cap + 1
+            )
         total = blocked = 0
         for p in range(n - 1, -1, -1):
             s = word[p]
@@ -298,42 +298,37 @@ class _Engine:
     """The commutation classes of one element, found by a search over heaps.
 
     ``classes`` maps each class's lex-least word, in sorted order, to its key,
-    its lex signature.  The search queue alone holds each class's root
-    indices ``idx``: ``idx[p]`` places the root of the piece at word position
-    p in the root sequence of canonical_word(w), the start class's word.
-    ``edges`` joins classes one long braid move apart and ``labels`` holds
-    the sorted move labels, i.e. the contractible triples.  The search keys
-    a class by its orientation of them relative to the start class, a
-    neighbour's key being ``key ^ bits[label]``; ``places`` holds, per sorted
-    label, the place of its key bit.  ``cap`` bounds the classes found, the
-    entries one class adds at one length to the size memo and the words
-    ``members`` lists.
+    its lex signature.  The search keeps the keys it has found and a queue
+    whose entries alone carry root indices: ``idx[p]`` places the root of the
+    piece at word position p in the root sequence of canonical_word(w).  A
+    neighbour's key is ``key ^ bits[label]``; ``labels`` holds the sorted move
+    labels, the contractible triples, and ``places`` their key bits' places.
+    commutation_graph reads the edges off the keys, for two classes are one
+    long braid move apart exactly when their keys differ in one bit (see the
+    module docstring).  ``cap`` bounds the
+    classes found, the entries one class adds at one length to the size memo
+    and the words ``members`` lists.
     """
 
-    __slots__ = ("cap", "closed", "classes", "edges", "labels", "places", "_sizes")
+    __slots__ = ("cap", "closed", "classes", "labels", "places", "_sizes")
 
     def __init__(self, w: Element, cap: int):
         g = w.graph
         closed = _closed_neighborhoods(g)
         start = canonical_word(w)
         base = root_sequence(g, start).roots
-        found = {0: 0}
+        found = {0}
         queue = [(start, tuple(range(len(start) - 1, -1, -1)), 0)]
         bits: dict[tuple[int, int, int], int] = {}
-        pairs: set[tuple[int, int]] = set()
-        for i, (word, idx, key) in enumerate(queue):
+        for word, idx, key in queue:
             for p, q, r in _long_moves(word, closed):
                 a, b = (idx[p], idx[r]) if idx[p] < idx[r] else (idx[r], idx[p])
                 next_key = key ^ bits.setdefault((a, idx[q], b), 1 << len(bits))
-                j = found.get(next_key)
-                if j is None:
-                    j = found[next_key] = len(queue)
-                    if j >= cap:
-                        raise _too_many(cap)
+                if next_key not in found:
+                    if len(queue) >= cap:
+                        raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
+                    found.add(next_key)
                     queue.append((*_braid(word, idx, p, q, r, closed), next_key))
-                pairs.add((i, j) if i < j else (j, i))
-        order = sorted(range(len(queue)), key=queue.__getitem__)
-        rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
         start_lex, labels = 0, []
         for (a, m, b), bit in bits.items():
             if base[a] > base[b]:  # the start class puts root a before b: lex bit 1
@@ -342,8 +337,7 @@ class _Engine:
         labels.sort()
         self.cap = cap
         self.closed = closed
-        self.classes = {queue[k][0]: queue[k][2] ^ start_lex for k in order}
-        self.edges = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in pairs)
+        self.classes = dict(sorted((word, key ^ start_lex) for word, _, key in queue))
         self.labels = tuple(t for t, _ in labels)
         self.places = tuple(j for _, j in labels)
         self._sizes: list[int] | None = None
@@ -423,7 +417,7 @@ def _engine(w: Element, cap: int | None = None) -> _Engine:
             f"element length {w.length} exceeds the word-length cap {DEFAULT_MAX_WORD_LENGTH}",
             count=0,
         )
-    return _built(w, _cap(cap))
+    return _built(w, cap if cap is not None else DEFAULT_SEQUENCE_CAP)
 
 
 def enumerate_reduced_words(w: Element, cap: int | None = None) -> list[Word]:
@@ -480,8 +474,13 @@ def count_classes_and_check_bound(w: Element, cap: int | None = None) -> BoundCh
 
 
 def commutation_graph(w: Element, cap: int | None = None) -> CommutationGraph:
+    """The classes of w, joined where their keys differ in one bit."""
     e = _engine(w, cap)
-    return CommutationGraph(e.vertices(w.graph), e.edges)
+    vertices = e.vertices(w.graph)  # sized first, so the size memo is gone before the edges
+    rank = {key: i for i, key in enumerate(e.classes.values())}
+    flips = [1 << j for j in range(len(e.labels))]
+    edges = ((i, k) for key, i in rank.items() for f in flips if (k := rank.get(key ^ f, -1)) > i)
+    return CommutationGraph(vertices, frozenset(edges))
 
 
 def is_bipartite(graph: CommutationGraph) -> Bipartition:

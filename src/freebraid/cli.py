@@ -42,7 +42,12 @@ from .classes import (
     signature_vectors,
     to_dot,
 )
-from .oracle import oracle_classes_by_bfs, oracle_contractible_triples, oracle_reduced_words
+from .oracle import (
+    oracle_classes_by_bfs,
+    oracle_commutation_edges,
+    oracle_contractible_triples,
+    oracle_reduced_words,
+)
 from .triples import contractible_triples, inversion_triples, is_freely_braided
 from .rootseq import root_sequence
 from .typea import (
@@ -183,8 +188,14 @@ def _verify(w: Element, cap: int) -> None:
     if produced != expected:
         raise VerificationError("reduced-word enumeration disagrees with descent oracle")
     blocks = oracle_classes_by_bfs(w, cap)
-    if set(class_partition(w, cap)) != set(blocks):
+    rank = {block: i for i, block in enumerate(class_partition(w, cap))}
+    if rank.keys() != set(blocks):
         raise VerificationError("class partition disagrees with BFS oracle")
+    at = [rank[block] for block in blocks]
+    del rank  # its keys hold every root sequence a second time
+    edges = {tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(blocks)}
+    if edges != commutation_graph(w, cap).edges:
+        raise VerificationError("commutation graph edges disagree with the braid-move oracle")
     block_size = {seq: len(block) for block in blocks for seq in block}
     for c in enumerate_classes(w, cap):
         if c.size != block_size[c.canonical.roots]:

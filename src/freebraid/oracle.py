@@ -5,8 +5,9 @@ production algorithms: reduced words come from descent recursion on full
 matrices (``mat_mul`` by ``reflection_matrix``) instead of column steps and
 the class engine, root sequences from their definition with ``act``,
 commutation classes from literal breadth-first closure under adjacent
-orthogonal swaps instead of heap-order keying, and contractibility from one
-scan of every root sequence for its windows of three consecutive roots.
+orthogonal swaps instead of heap-order keying, contractibility from one
+scan of every root sequence for its windows of three consecutive roots, and
+commutation graph edges from those windows reversed instead of class keys.
 Tests and the CLI --verify mode diff these against production.
 """
 
@@ -35,6 +36,7 @@ __all__ = [
     "oracle_reduced_words",
     "oracle_all_root_sequences",
     "oracle_classes_by_bfs",
+    "oracle_commutation_edges",
     "oracle_contractible_triples",
     "oracle_contractible",
 ]
@@ -105,6 +107,21 @@ def oracle_classes_by_bfs(w: Element, cap: int | None = None) -> list[frozenset[
         blocks.append(frozenset(block))
     blocks.sort(key=min)
     return blocks
+
+
+def oracle_commutation_edges(blocks: list[frozenset[tuple[Root, ...]]]) -> frozenset[tuple[int, int]]:
+    """Pairs (i, j), i < j, of the blocks of oracle_classes_by_bfs joined by
+    one long braid move: a window of three roots whose middle is the sum of
+    the outer two, reversed, turns a sequence of block i into one of block j."""
+    block_of = {seq: i for i, block in enumerate(blocks) for seq in block}
+    edges = set()
+    for seq, i in block_of.items():
+        for k in range(len(seq) - 2):
+            a, m, b = seq[k:k + 3]
+            if all(x + y == z for x, y, z in zip(a, b, m)):
+                j = block_of[seq[:k] + (b, m, a) + seq[k + 3:]]
+                edges.add((min(i, j), max(i, j)))
+    return frozenset(edges)
 
 
 def oracle_contractible_triples(w: Element, cap: int | None = None) -> frozenset[frozenset[Root]]:

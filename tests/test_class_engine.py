@@ -38,8 +38,15 @@ from freebraid import (
     times_generator,
 )
 from freebraid.cli import EXIT_CAP, EXIT_OK, main
-from freebraid.classes import _class_sizes, _closed_neighborhoods, _engine, _least_extension
-from freebraid.oracle import oracle_classes_by_bfs, oracle_contractible
+from freebraid.classes import (
+    _braid,
+    _class_sizes,
+    _closed_neighborhoods,
+    _engine,
+    _least_extension,
+    _long_moves,
+)
+from freebraid.oracle import oracle_classes_by_bfs, oracle_commutation_edges, oracle_contractible
 from freebraid.typea import perm_to_element
 from conftest import GOLDEN_D4_WORD, group_by_length, random_elements
 
@@ -47,6 +54,9 @@ from conftest import GOLDEN_D4_WORD, group_by_length, random_elements
 KNUTH_W0_CLASSES = {5: 62, 6: 908, 7: 24_698}
 # Reduced words of w0 in S_n (Stanley, 1984).
 STANLEY_W0_WORDS = {5: 768, 6: 292_864, 7: 1_100_742_656}
+# Edges of the commutation graph of w0 in S_n: covering pairs of the higher
+# Bruhat order B(n, 2) (Manin and Schechtman, 1989; Ziegler, 1993).
+W0_EDGES = {5: 100, 6: 2_144, 7: 80_360}
 
 
 def stanley(n: int) -> int:
@@ -60,9 +70,11 @@ def test_stanley_table_matches_closed_form():
 
 @pytest.mark.parametrize("n", sorted(KNUTH_W0_CLASSES))
 def test_w0_classes_and_sizes_match_the_literature(n):
-    classes = enumerate_classes(perm_to_element(tuple(range(n, 0, -1))))
+    w = perm_to_element(tuple(range(n, 0, -1)))
+    classes = enumerate_classes(w)
     assert len(classes) == KNUTH_W0_CLASSES[n]
     assert sum(c.size for c in classes) == STANLEY_W0_WORDS[n]
+    assert len(commutation_graph(w).edges) == W0_EDGES[n]
 
 
 def test_the_engine_braids_once_per_class(monkeypatch):
@@ -156,6 +168,34 @@ def test_signatures_read_off_the_key_match_heap_positions(g, word):
     assert len(differences) == 1
 
 
+def move_log_edges(w):
+    """Reference: the edges as a log of the search's moves.  For each class
+    word, each long braid move is braided out to its neighbour's lex-least
+    word, whose rank in class order is the other end of the edge."""
+    e = _engine(w)
+    rank = {word: i for i, word in enumerate(e.classes)}
+    edges = set()
+    for i, word in enumerate(e.classes):
+        idx = tuple(range(len(word)))
+        for p, q, r in _long_moves(word, e.closed):
+            j = rank[_braid(word, idx, p, q, r, e.closed)[0]]
+            edges.add((min(i, j), max(i, j)))
+    return edges
+
+
+@pytest.mark.parametrize(
+    "spec, max_length", [("A4", 10), ("D4", 12), ("A5", 15), ("1-2,2-3,1-3", 14)]
+)
+def test_edges_read_off_the_keys_match_the_move_log(spec, max_length):
+    """Classes one long braid move apart are exactly those whose keys differ
+    in one bit, on every element of A4, D4 and A5 and on a ball of the
+    affine A~2 group: the commutation graph is an induced subgraph of the
+    cube."""
+    for elements in group_by_length(parse_graph(spec), max_length).values():
+        for w in elements:
+            assert commutation_graph(w).edges == move_log_edges(w), w
+
+
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
@@ -233,6 +273,9 @@ def test_engine_matches_oracles_on_random_graphs(case):
     assert {t for t, _ in f_signature(w, classes[0]).entries} == expected
 
     graph = commutation_graph(w)
+    rank = {block: i for i, block in enumerate(class_partition(w))}
+    at = [rank[block] for block in blocks]
+    assert graph.edges == {tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(blocks)}
     assert is_bipartite(graph).bipartite
     bits = [f_signature(w, c).vector() for c in graph.vertices]
     for i, j in graph.edges:

@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 import freebraid.cli as cli
-from freebraid import enumerate_classes, f_signature, inversion_triples
+from freebraid import commutation_graph, enumerate_classes, f_signature, inversion_triples
 from freebraid.oracle import oracle_classes_by_bfs
 from freebraid.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
@@ -158,6 +158,19 @@ def test_verify_catches_class_size_mismatch(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     assert out == ""
     assert "verification failed: class size disagrees with BFS oracle for 2 1 3 2 4 2 1 3 2\n" in err
+
+
+def test_verify_catches_a_dropped_edge(capsys, monkeypatch):
+    # A commutation graph that has lost one of its edges.
+    def dropped(w, cap=None):
+        graph = commutation_graph(w, cap)
+        return graph._replace(edges=graph.edges - {min(graph.edges)})
+
+    monkeypatch.setattr(cli, "commutation_graph", dropped)
+    code, out, err = run(capsys, *GOLDEN_D4)
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert "verification failed: commutation graph edges disagree with the braid-move oracle\n" in err
 
 
 def test_analyze_precedence_flag(capsys):

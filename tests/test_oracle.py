@@ -17,6 +17,7 @@ from freebraid import (
 from freebraid.oracle import (
     oracle_all_root_sequences,
     oracle_classes_by_bfs,
+    oracle_commutation_edges,
     oracle_contractible,
     oracle_reduced_words,
 )
@@ -60,6 +61,15 @@ def test_oracle_classes_examples():
     assert len(blocks) == 2
     assert all(len(b) == 1 for b in blocks)
     assert oracle_classes_by_bfs(identity_element(A2)) == [frozenset({()})]
+
+
+def test_oracle_edges_examples():
+    assert oracle_commutation_edges(oracle_classes_by_bfs(W0_S3)) == {(0, 1)}
+    assert oracle_commutation_edges(oracle_classes_by_bfs(identity_element(A2))) == frozenset()
+    w0_s4 = element_of(A3, (1, 2, 1, 3, 2, 1))  # 8 classes on a cycle
+    edges = oracle_commutation_edges(oracle_classes_by_bfs(w0_s4))
+    assert len(edges) == 8
+    assert all(sum(i in e for e in edges) == 2 for i in range(8))
 
 
 def test_oracle_classes_partition_the_sequences():
