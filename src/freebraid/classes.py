@@ -9,15 +9,18 @@ exactly the linear extensions of the heap.
 Classes are found by a breadth-first search whose states are classes, not
 words.  A class is held as its lex-least word (its heap's first linear
 extension) and its search key; its root sequence is derived from that word
-when asked for.  Only in the search queue does each piece also carry the
-index of its root in the root sequence of canonical_word(w), for the move
-labels.  Long braid moves join classes: two consecutive s-pieces p < r
-admit one exactly when the open heap interval (p, r) is a single piece q.
-The letters between p and r then commute with s, so the move rewrites
-s A t B s as A t s t B and reverses the root indices of the three pieces;
-inserting the moved pieces one by one into the unchanged prefix before p
-gives the new class's lex-least word.  The move labels
-{root(p), root(q), root(r)} are exactly the contractible triples.
+when asked for.  The class layer writes every word once, as bytes over w's
+support relabelled in order (which keeps lex order), and spells it in w's
+letters only when it hands it out.  Until its class is expanded, each piece
+in the search queue also carries the index of its root in the root
+sequence of canonical_word(w), for the move labels.  Long braid moves join
+classes: two consecutive s-pieces p < r admit one exactly when the open
+heap interval (p, r) is a single piece q.  The letters between p and r
+then commute with s, so the move rewrites s A t B s as A t s t B and
+reverses the root indices of the three pieces; inserting the moved pieces
+one by one into the unchanged prefix before p gives the new class's
+lex-least word.  The move labels {root(p), root(q), root(r)} are exactly
+the contractible triples.
 
 The search keys a class by the XOR of one bit per move label on a path to
 it from the start class, and braids out a class's word only when its key is
@@ -51,7 +54,7 @@ sum, over its maximal pieces, of the counts of the heap without that piece,
 and the empty heap counts 1.  Deleting a maximal piece from a lex-least word
 leaves a lex-least word (every letter after the piece commutes with it), so
 each sub-heap is keyed by its word alone and the classes share one memo.
-It holds every sub-heap of every class, as bytes, until the sizes are done.
+It holds every sub-heap of every class until the sizes are done.
 Reduced words are listed only by enumerate_reduced_words and class_partition,
 by the same recursion: each maximal piece of a class's lex-least word in turn
 ends the word, after every listing of the heap without it, each piece
@@ -178,15 +181,7 @@ class Bipartition(NamedTuple):
     coloring: tuple[int, ...] | None
 
 
-def _closed_neighborhoods(g: CoxeterGraph) -> list[int]:
-    """closed[s] = bitmask of s and its neighbors, bit t standing for letter t."""
-    closed = [0] * (g.n + 1)
-    for s in g.generators():
-        closed[s] = sum(1 << t for t in (s,) + g.neighbors[s - 1])
-    return closed
-
-
-def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]:
+def _long_moves(word: bytes, near: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
     """Word positions (p, q, r) of every long braid move on the class heap.
 
     p and r are consecutive s-pieces.  A piece strictly between them in the
@@ -196,7 +191,7 @@ def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]
     """
     n = len(word)
     for p, s in enumerate(word):
-        adjacent = closed[s] ^ (1 << s)
+        adjacent = near[s] ^ (1 << s)
         q = -1
         for k in range(p + 1, n):
             t = word[k]
@@ -211,19 +206,19 @@ def _long_moves(word: Word, closed: list[int]) -> Iterator[tuple[int, int, int]]
 
 
 def _braid(
-    word: Word, idx: tuple[int, ...], p: int, q: int, r: int, closed: list[int]
-) -> tuple[Word, tuple[int, ...]]:
+    word: bytes, idx: bytes, p: int, q: int, r: int, near: tuple[int, ...]
+) -> tuple[bytes, bytes]:
     """The class one long braid move away, s A t B s to A t s t B, as its
     lex-least word and indices; the lex-least prefix before p stays."""
     t = word[q]
-    moved = word[:p] + word[p + 1 : q] + (t, word[p], t) + word[q + 1 : r] + word[r + 1 :]
-    roots = idx[:p] + idx[p + 1 : q] + (idx[r], idx[q], idx[p]) + idx[q + 1 : r] + idx[r + 1 :]
-    return _least_extension(moved, roots, closed, p)
+    moved = word[:p] + word[p + 1 : q] + bytes((t, word[p], t)) + word[q + 1 : r] + word[r + 1 :]
+    roots = idx[:p] + idx[p + 1 : q] + bytes((idx[r], idx[q], idx[p])) + idx[q + 1 : r] + idx[r + 1 :]
+    return _least_extension(moved, roots, near, p)
 
 
 def _least_extension(
-    word: Word, idx: tuple[int, ...], closed: list[int], start: int
-) -> tuple[Word, tuple[int, ...]]:
+    word: bytes, idx: bytes, near: tuple[int, ...], start: int
+) -> tuple[bytes, bytes]:
     """The lex-least linear extension of the heap of `word`, with root
     indices, when ``word[:start]`` is already lex-least for its own heap.
 
@@ -235,34 +230,29 @@ def _least_extension(
     """
     letters, roots = list(word[:start]), list(idx[:start])
     for a, i in zip(word[start:], idx[start:]):
-        near = closed[a]
+        blocking = near[a]
         at = m = len(letters)
-        while m and not near >> letters[m - 1] & 1:
+        while m and not blocking >> letters[m - 1] & 1:
             m -= 1
             if letters[m] > a:
                 at = m
         letters.insert(at, a)
         roots.insert(at, i)
-    return tuple(letters), tuple(roots)
+    return bytes(letters), bytes(roots)
 
 
-def _class_sizes(words: list[Word], closed: list[int], cap: int) -> list[int]:
+def _class_sizes(words: list[bytes], near: tuple[int, ...], cap: int) -> list[int]:
     """Number of linear extensions of the heap of each lex-least word in
-    ``words``, the classes of one element (so all on the same letters), from
-    one shared memo.
+    ``words``, the classes of one element in the engine's letters, from one
+    shared memo keyed by the words themselves.
 
-    A piece is maximal when no later letter lies in its closed neighborhood,
-    so a backward scan finds them all; once the closed neighborhoods of the
-    letters passed cover every letter, no earlier piece is maximal.  The memo
-    is keyed by words as bytes, their letters relabeled in order so each fits
-    a byte (the engine takes at most 64 letters).  ``cap`` bounds the new
-    entries one word adds at one length: distinct down-sets of its heap of
-    one size, so never more than its linear extensions.
+    A piece is maximal when no later letter is equal or adjacent to it, so
+    a backward scan finds them all; once the letters passed block every
+    letter of the support, no earlier piece is maximal.  ``cap`` bounds the
+    new entries one word adds at one length: distinct down-sets of its heap
+    of one size, so never more than its linear extensions.
     """
-    support = sorted(set(words[0]))
-    relabel = {s: i for i, s in enumerate(support)}
-    near = [sum(1 << relabel[t] for t in support if closed[s] >> t & 1) for s in support]
-    full = (1 << len(support)) - 1
+    full = (1 << len(near)) - 1
     memo = {b"": 1}
     added: list[int] = []
 
@@ -289,46 +279,51 @@ def _class_sizes(words: list[Word], closed: list[int], cap: int) -> list[int]:
     sizes = []
     for word in words:
         added[:] = [0] * (len(word) + 1)
-        key = bytes([relabel[s] for s in word])
-        sizes.append(memo[key] if key in memo else count(key))
+        sizes.append(memo[word] if word in memo else count(word))
+    del count  # count's closure holds count: break the cycle, so the memo goes on return
     return sizes
 
 
 class _Engine:
     """The commutation classes of one element, found by a search over heaps.
 
-    ``classes`` maps each class's lex-least word, in sorted order, to its key,
-    its lex signature.  The search keeps the keys it has found and a queue
-    whose entries alone carry root indices: ``idx[p]`` places the root of the
-    piece at word position p in the root sequence of canonical_word(w).  A
-    neighbour's key is ``key ^ bits[label]``; ``labels`` holds the sorted move
-    labels, the contractible triples, and ``places`` their key bits' places.
-    commutation_graph reads the edges off the keys, for two classes are one
-    long braid move apart exactly when their keys differ in one bit (see the
-    module docstring).  ``cap`` bounds the
-    classes found, the entries one class adds at one length to the size memo
-    and the words ``members`` lists.
+    Words are ``bytes`` over w's support relabelled in order: letter i is
+    ``support[i]``, and ``near[i]`` has bit j set when letters i and j are
+    equal or adjacent.  ``classes`` maps each class's lex-least word, in
+    sorted order, to its key, its lex signature.  The search keeps the keys
+    it has found and a queue whose entries carry root indices until they
+    are expanded: ``idx[p]`` places the root of the piece at word position p
+    in the root sequence of canonical_word(w).  A neighbour's key is
+    ``key ^ bits[label]``; ``labels`` holds the sorted move labels, the
+    contractible triples, and ``places`` their key bits' places.
+    commutation_graph reads the edges off the keys (see the module
+    docstring).  ``cap`` bounds the classes found, the entries one class
+    adds at one length to the size memo and the words ``members`` lists.
     """
 
-    __slots__ = ("cap", "closed", "classes", "labels", "places", "_sizes")
+    __slots__ = ("cap", "support", "near", "classes", "labels", "places", "_sizes")
 
     def __init__(self, w: Element, cap: int):
         g = w.graph
-        closed = _closed_neighborhoods(g)
         start = canonical_word(w)
+        support = tuple(sorted(set(start)))
+        letter = {s: i for i, s in enumerate(support)}
+        near = tuple(sum(1 << letter[t] for t in (s, *g.neighbors[s - 1]) if t in letter)
+                     for s in support)
         base = root_sequence(g, start).roots
         found = {0}
-        queue = [(start, tuple(range(len(start) - 1, -1, -1)), 0)]
+        queue = [(bytes([letter[s] for s in start]), bytes(range(len(start) - 1, -1, -1)), 0)]
         bits: dict[tuple[int, int, int], int] = {}
-        for word, idx, key in queue:
-            for p, q, r in _long_moves(word, closed):
+        for i, (word, idx, key) in enumerate(queue):
+            for p, q, r in _long_moves(word, near):
                 a, b = (idx[p], idx[r]) if idx[p] < idx[r] else (idx[r], idx[p])
                 next_key = key ^ bits.setdefault((a, idx[q], b), 1 << len(bits))
                 if next_key not in found:
                     if len(queue) >= cap:
                         raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
                     found.add(next_key)
-                    queue.append((*_braid(word, idx, p, q, r, closed), next_key))
+                    queue.append((*_braid(word, idx, p, q, r, near), next_key))
+            queue[i] = word, key
         start_lex, labels = 0, []
         for (a, m, b), bit in bits.items():
             if base[a] > base[b]:  # the start class puts root a before b: lex bit 1
@@ -336,15 +331,15 @@ class _Engine:
             labels.append((InversionTriple(base[a], base[m], base[b]), bit.bit_length() - 1))
         labels.sort()
         self.cap = cap
-        self.closed = closed
-        self.classes = dict(sorted((word, key ^ start_lex) for word, _, key in queue))
+        self.support, self.near = support, near
+        self.classes = dict(sorted((word, key ^ start_lex) for word, key in queue))
         self.labels = tuple(t for t, _ in labels)
         self.places = tuple(j for _, j in labels)
         self._sizes: list[int] | None = None
 
     def sizes(self) -> list[int]:
         if self._sizes is None:
-            self._sizes = _class_sizes(list(self.classes), self.closed, self.cap)
+            self._sizes = _class_sizes(list(self.classes), self.near, self.cap)
         return self._sizes
 
     def mask(self, precedence: Precedence) -> int:
@@ -357,7 +352,8 @@ class _Engine:
         return tuple([x >> j & 1 for j in self.places])
 
     def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
-        return tuple(CommutationClass(g, word, k) for word, k in zip(self.classes, self.sizes()))
+        words = (tuple([self.support[s] for s in word]) for word in self.classes)
+        return tuple(CommutationClass(g, word, k) for word, k in zip(words, self.sizes()))
 
     def members(self, g: CoxeterGraph) -> Iterator[tuple[list[Word], list[tuple[Root, ...]]]]:
         """Per class, in class order, its reduced words and their root
@@ -366,15 +362,16 @@ class _Engine:
         The pieces still in the heap are a mask of word positions, and each
         piece carries its root (a root sequence runs right to left).  A
         backward scan over the mask finds the maximal pieces as the memo's
-        does; each in turn is written at the last open place of the word and
-        the first open place of its root sequence, and the rest is peeled.
+        does; each in turn is written, as a letter of w, at the last open
+        place of the word and the first open place of its root sequence,
+        and the rest is peeled.
         """
-        cap, closed = self.cap, self.closed
+        cap, support, near = self.cap, self.support, self.near
+        full = (1 << len(near)) - 1
         left = cap
         for word in self.classes:
-            carried = root_sequence(g, word).roots[::-1]
-            support = sum(1 << s for s in set(word))
-            letters = list(word)
+            letters = [support[s] for s in word]
+            carried = root_sequence(g, tuple(letters)).roots[::-1]
             roots = list(carried)
             words: list[Word] = []
             seqs: list[tuple[Root, ...]] = []
@@ -393,11 +390,11 @@ class _Engine:
                     rest ^= 1 << p
                     s = word[p]
                     if not blocked >> s & 1:
-                        letters[top] = s
+                        letters[top] = support[s]
                         roots[~top] = carried[p]
                         peel(mask ^ 1 << p, top - 1)
-                    blocked |= closed[s]
-                    if not support & ~blocked:
+                    blocked |= near[s]
+                    if blocked == full:
                         break
 
             peel((1 << len(word)) - 1, len(word) - 1)
@@ -442,7 +439,9 @@ def f_signature(
 ) -> FSignature:
     """The signature of class c, read off its search key."""
     e = _engine(w, cap)
-    key = e.classes.get(c.canonical_word)
+    letter = {s: i for i, s in enumerate(e.support)}
+    word = c.canonical_word
+    key = e.classes.get(bytes([letter[s] for s in word])) if letter.keys() >= set(word) else None
     if key is None or c.graph != w.graph:
         raise ValueError("class does not belong to this element")
     return FSignature(tuple(zip(e.labels, e.bits(key ^ e.mask(precedence)))))

@@ -74,10 +74,11 @@ Matrix = tuple[tuple[int, ...], ...]
 # and reduced words where words are listed.  The size memo holds every
 # sub-heap of every class until the sizes are done, so the cap bounds it
 # per class, not in total.  The length cap bounds the words we agree to
-# enumerate, and so a class's support: relabelled, its letters fit a byte,
-# which is how the class-size memo keys its words.  It also bounds the
-# recursions of _class_sizes and _Engine.members, one call per letter, far
-# below Python's default limit of 1,000.
+# enumerate, and so an element's support: relabelled, its letters fit a
+# byte, which is how the class layer stores every word, not only the size
+# memo's keys.  It also bounds the recursions of _class_sizes and
+# _Engine.members, one call per letter, far below Python's default limit
+# of 1,000.
 DEFAULT_SEQUENCE_CAP = 10**6
 DEFAULT_MAX_WORD_LENGTH = 64
 

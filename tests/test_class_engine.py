@@ -9,6 +9,7 @@ against the brute-force oracles.
 
 from __future__ import annotations
 
+import tracemalloc
 from math import comb, factorial, prod
 
 import pytest
@@ -21,7 +22,6 @@ from freebraid import (
     REVLEX,
     CapExceededError,
     CoxeterGraph,
-    canonical_word,
     class_partition,
     commutation_graph,
     contractible_triples,
@@ -39,9 +39,9 @@ from freebraid import (
 )
 from freebraid.cli import EXIT_CAP, EXIT_OK, main
 from freebraid.classes import (
+    _Engine,
     _braid,
     _class_sizes,
-    _closed_neighborhoods,
     _engine,
     _least_extension,
     _long_moves,
@@ -130,16 +130,20 @@ SCAN_CASES = [
 @pytest.mark.parametrize("g, word", SCAN_CASES)
 def test_insertion_gives_the_first_linear_extension(g, word):
     """From any word of a class, inserting its pieces one by one gives the
-    least of the class's listed words, each piece carrying its root (a
-    root sequence runs right to left), and that is the word the engine holds
-    for the class."""
+    least of the class's listed words, each piece carrying its index and so
+    its root (a root sequence runs right to left), and that is the word the
+    engine holds for the class, in its letters relabelled in order."""
     e = _engine(element_of(g, word))
+    letter = {s: i for i, s in enumerate(e.support)}
     for least, (words, seqs) in zip(e.classes, e.members(g)):
-        assert len(set(words)) == len(words) and min(words) == least
-        first = (least, root_sequence(g, least).roots[::-1])
+        spelled = tuple(e.support[s] for s in least)
+        assert len(set(words)) == len(words) and min(words) == spelled
+        first = root_sequence(g, spelled).roots[::-1]
         for member, seq in zip(words, seqs):
             assert seq == root_sequence(g, member).roots
-            assert _least_extension(member, seq[::-1], e.closed, 0) == first
+            relabelled = bytes(letter[s] for s in member)
+            found, idx = _least_extension(relabelled, bytes(range(len(member))), e.near, 0)
+            assert found == least and tuple(seq[::-1][i] for i in idx) == first
 
 
 @pytest.mark.parametrize("g, word", SCAN_CASES)
@@ -151,7 +155,7 @@ def test_signatures_read_off_the_key_match_heap_positions(g, word):
     w = element_of(g, word)
     e = _engine(w)
     differences = set()
-    for c in enumerate_classes(w):
+    for c, key in zip(enumerate_classes(w), e.classes.values()):
         pos = {r: i for i, r in enumerate(c.canonical.roots)}
         vectors = []
         for precedence in (LEX, REVLEX):
@@ -162,7 +166,6 @@ def test_signatures_read_off_the_key_match_heap_positions(g, word):
             assert list(f_signature(w, c, precedence).entries) == expected
             vectors.append([b for _, b in expected])
         lex, revlex = vectors
-        key = e.classes[c.canonical_word]
         assert [key >> j & 1 for j in e.places] == lex
         differences.add(tuple(a ^ b for a, b in zip(lex, revlex)))
     assert len(differences) == 1
@@ -176,9 +179,9 @@ def move_log_edges(w):
     rank = {word: i for i, word in enumerate(e.classes)}
     edges = set()
     for i, word in enumerate(e.classes):
-        idx = tuple(range(len(word)))
-        for p, q, r in _long_moves(word, e.closed):
-            j = rank[_braid(word, idx, p, q, r, e.closed)[0]]
+        idx = bytes(range(len(word)))
+        for p, q, r in _long_moves(word, e.near):
+            j = rank[_braid(word, idx, p, q, r, e.near)[0]]
             edges.add((min(i, j), max(i, j)))
     return edges
 
@@ -299,30 +302,30 @@ def test_class_size_dp_respects_the_cap():
         enumerate_classes(w, cap=100)
     assert info.value.count == 101
     # The memo stops at the cap itself rather than checking after the count.
-    closed = _closed_neighborhoods(w.graph)
+    e = _engine(w)
     with pytest.raises(CapExceededError):
-        _class_sizes([canonical_word(w)], closed, 923)
-    assert _class_sizes([canonical_word(w)], closed, 924) == [factorial(12)]
+        _class_sizes(list(e.classes), e.near, 923)
+    assert _class_sizes(list(e.classes), e.near, 924) == [factorial(12)]
     assert [c.size for c in enumerate_classes(w)] == [factorial(12)]
     with pytest.raises(CapExceededError):
         enumerate_classes(w, cap=100)  # an engine built under another cap does not answer
 
 
-def linear_extension_count(word, closed) -> int:
+def linear_extension_count(word, near) -> int:
     """Reference: the linear extensions of the heap of `word`, counted layer
     by layer over its down-sets, one heap per class (the size DP the shared
     memo replaced).
 
-    Pieces are bits in word order.  A piece lies above every earlier piece
-    whose letter is equal or adjacent to its own, and it can join a down-set
-    when it is the lowest piece of its letter's chain outside the set and
-    every piece below it is inside.
+    Pieces are bits in word order, letters as the engine relabels them.  A
+    piece lies above every earlier piece whose letter is equal or adjacent
+    to its own, and it can join a down-set when it is the lowest piece of
+    its letter's chain outside the set and every piece below it is inside.
     """
     chains: dict[int, int] = {}
     for p, s in enumerate(word):
         chains[s] = chains.get(s, 0) | 1 << p
     below = {
-        1 << p: sum(chain for t, chain in chains.items() if closed[s] >> t & 1) & ((1 << p) - 1)
+        1 << p: sum(chain for t, chain in chains.items() if near[s] >> t & 1) & ((1 << p) - 1)
         for p, s in enumerate(word)
     }
     ways = {0: 1}
@@ -344,7 +347,7 @@ def test_reference_size_dp_gives_stanleys_counts(n):
     the shared memo gives the same size for every class."""
     w = perm_to_element(tuple(range(n, 0, -1)))
     e = _engine(w)
-    sizes = [linear_extension_count(word, e.closed) for word in e.classes]
+    sizes = [linear_extension_count(word, e.near) for word in e.classes]
     assert sum(sizes) == stanley(n)
     assert [c.size for c in enumerate_classes(w)] == sizes
 
@@ -357,7 +360,7 @@ def test_reference_size_dp_gives_stanleys_counts(n):
 def test_shared_size_memo_agrees_with_the_per_heap_dp(spec, max_length, seed):
     for w in random_elements(parse_graph(spec), 25, max_length, seed):
         e = _engine(w)
-        expected = [linear_extension_count(word, e.closed) for word in e.classes]
+        expected = [linear_extension_count(word, e.near) for word in e.classes]
         assert [c.size for c in enumerate_classes(w)] == expected, w
 
 
@@ -365,6 +368,21 @@ def test_size_memo_relabels_letters_above_255():
     g = parse_graph("A300")
     assert [c.size for c in enumerate_classes(element_of(g, (300, 299, 300)))] == [1, 1]
     assert [c.size for c in enumerate_classes(element_of(g, (299, 1, 300, 2)))] == [6]
+
+
+def test_capped_search_holds_each_class_as_one_word_and_key():
+    """The class search stores a found class as its bytes word and key, and
+    an expanded class keeps no root indices: the search of w0(A9), cut at
+    20,000 classes, peaks under 15 MiB of traced Python memory."""
+    w = perm_to_element(tuple(range(10, 0, -1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="more than 20000 commutation classes"):
+            _Engine(w, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20, peak
 
 
 def test_wide_heap_exits_on_the_cap(capsys):

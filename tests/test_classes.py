@@ -182,8 +182,8 @@ def test_f_signature_rejects_foreign_class():
     (c,) = enumerate_classes(element_of(A3, (1, 3)))
     with pytest.raises(ValueError):
         f_signature(W0_S4, c)
-    with pytest.raises(ValueError):
-        f_signature(W0_S3, c)
+    with pytest.raises(ValueError, match="^class does not belong to this element$"):
+        f_signature(W0_S3, c)  # letter 3 is outside w's support
     # One of w's class words, on another graph.
     lo, _ = enumerate_classes(W0_S3)
     with pytest.raises(ValueError):
