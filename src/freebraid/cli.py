@@ -196,14 +196,14 @@ def _verify(w: Element, cap: int) -> None:
     edges = {tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(blocks)}
     if edges != commutation_graph(w, cap).edges:
         raise VerificationError("commutation graph edges disagree with the braid-move oracle")
-    block_size = {seq: len(block) for block in blocks for seq in block}
-    for c in enumerate_classes(w, cap):
-        if c.size != block_size[c.canonical.roots]:
+    size = dict(zip(at, map(len, blocks)))
+    for k, c in enumerate(enumerate_classes(w, cap)):
+        if c.size != size[k]:
             raise VerificationError(
                 f"class size disagrees with BFS oracle for {format_word(c.canonical_word)}"
             )
     contractible = contractible_triples(w, cap=cap)
-    windows = oracle_contractible_triples(w, cap)
+    windows = oracle_contractible_triples(seq for block in blocks for seq in block)
     for t in sorted(inversion_triples(w)):
         if (t in contractible) != (frozenset(t) in windows):
             raise VerificationError(f"contractibility verdicts disagree for {t}")

@@ -14,6 +14,7 @@ Tests and the CLI --verify mode diff these against production.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 from .coxeter import (
     CapExceededError,
@@ -124,16 +125,16 @@ def oracle_commutation_edges(blocks: list[frozenset[tuple[Root, ...]]]) -> froze
     return frozenset(edges)
 
 
-def oracle_contractible_triples(w: Element, cap: int | None = None) -> frozenset[frozenset[Root]]:
-    """Every window of three consecutive roots, as a set, over every root
-    sequence of w; a triple is contractible exactly when it is one of them."""
-    return frozenset(
-        frozenset(r.roots[k:k + 3])
-        for r in oracle_all_root_sequences(w, cap)
-        for k in range(len(r) - 2)
-    )
+def oracle_contractible_triples(
+    sequences: Iterable[tuple[Root, ...]],
+) -> frozenset[frozenset[Root]]:
+    """Every window of three consecutive roots, as a set, over the root
+    sequences given (all of w's, as in the blocks of oracle_classes_by_bfs);
+    a triple is contractible exactly when it is one of them."""
+    return frozenset(frozenset(seq[k:k + 3]) for seq in sequences for k in range(len(seq) - 2))
 
 
 def oracle_contractible(w: Element, triple, cap: int | None = None) -> bool:
     """Does some root sequence of w carry the triple consecutively?"""
-    return frozenset((triple.low, triple.mid, triple.high)) in oracle_contractible_triples(w, cap)
+    windows = oracle_contractible_triples(r.roots for r in oracle_all_root_sequences(w, cap))
+    return frozenset((triple.low, triple.mid, triple.high)) in windows

@@ -5,9 +5,9 @@ set.  The triple is contractible when some root sequence of w carries its
 three roots consecutively, i.e. when it labels a long braid move of the
 class engine.  On a graph whose components are paths every inversion triple
 is contractible, so no class search runs there.  An element is freely
-braided when its contractible triples are pairwise disjoint, and then every
-class has a representative in which short moves alone push each
-contractible triple into a consecutive block.
+braided when its contractible triples are pairwise disjoint, and then each
+class has a sequence in which every contractible triple is a consecutive
+block where its middle root sat and all other roots keep their order.
 
 On a graph of finite type of rank at most 8 an element's triples are looked
 up in a per-graph table of the positive roots' triples: at most 1,120 reads,
@@ -22,8 +22,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coxeter import (CoxeterGraph, Element, Root, _inversion_keys, _is_finite_type, _peel,
-                      _positive_roots, is_path_forest, pairing)
-from .rootseq import InversionTriple, RootSequence, inversion_set
+                      _positive_roots, is_path_forest)
+from .rootseq import (InversionTriple, RootSequence, commutation_equivalent, inversion_set,
+                      word_of_root_sequence)
 from .classes import _engine
 
 __all__ = [
@@ -105,48 +106,29 @@ def is_freely_braided(w: Element, cap: int | None = None) -> bool:
     return len({r for t in triples for r in (t.low, t.mid, t.high)}) == 3 * len(triples)
 
 
-def _migrate(g, seq: list[Root], i: int, target: int) -> None:
-    """Move seq[i] to position target by short moves, one step at a time."""
-    step = 1 if target > i else -1
-    while i != target:
-        j = i + step
-        if pairing(g, seq[i], seq[j]) != 0:
-            raise RuntimeError("blocked short move while normalizing")
-        seq[i], seq[j] = seq[j], seq[i]
-        i = j
-
-
 def consecutive_normal_form(w: Element, start: RootSequence) -> RootSequence:
-    """Short moves only, until every contractible triple sits consecutively.
+    """The sequence of start's class in which each contractible triple is a
+    consecutive block where its middle root sat, every other root in order.
 
-    Triples are processed left to right by the position of their middle root
-    in the starting sequence; within one triple the nearer outer root
-    migrates first.  Everything strictly between an outer root and the middle
-    root is orthogonal to that outer root, so the migrations are legal short
-    moves, and because the triples of a freely braided element are disjoint,
-    finished blocks survive later migrations.
+    One stable sort of start: a root at position i in no contractible triple
+    keys (i, 0); a triple whose middle root sits at position m keys it (m, 0)
+    and its outer roots (m, -1) and (m, +1) by their side of m.  The sort is
+    a run of short moves: everything strictly between an outer root and its
+    middle root is orthogonal to that outer root, and the triples of a freely
+    braided element are disjoint, so each outer root passes only roots it
+    commutes with.  The result is checked to stay in start's class.
     """
     if not is_freely_braided(w):
         raise ValueError("element is not freely braided")
     if start.graph != w.graph or frozenset(start.roots) != inversion_set(w):
         raise ValueError("root sequence does not belong to this element")
-    g = w.graph
-    triples = sorted(contractible_triples(w), key=lambda t: start.roots.index(t.mid))
-    seq = list(start.roots)
-    for t in triples:
-        pos = {r: i for i, r in enumerate(seq)}
-        pm = pos[t.mid]
-        pl, ph = sorted((pos[t.low], pos[t.high]))
-        if not pl < pm < ph:
-            raise RuntimeError("sum root not between its summands")
-        if pm - pl <= ph - pm:
-            _migrate(g, seq, pl, pm - 1)
-            _migrate(g, seq, ph, pm + 1)
-        else:
-            _migrate(g, seq, ph, pm + 1)
-            _migrate(g, seq, pl, pm - 1)
-    for t in triples:
-        where = sorted(seq.index(r) for r in (t.low, t.mid, t.high))
-        if where[2] - where[0] != 2:
-            raise RuntimeError("normalization failed to make a triple consecutive")
-    return RootSequence(g, tuple(seq))
+    word_of_root_sequence(start)  # raises ValueError unless start is a root sequence
+    key = {r: (i, 0) for i, r in enumerate(start.roots)}
+    for t in contractible_triples(w):
+        m, _ = key[t.mid]
+        for r in (t.low, t.high):
+            key[r] = (m, -1 if key[r][0] < m else 1)
+    out = RootSequence(w.graph, tuple(sorted(start.roots, key=key.__getitem__)))
+    if not commutation_equivalent(start, out):
+        raise RuntimeError("normal form left the class of its start")
+    return out

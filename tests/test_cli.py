@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 import freebraid.cli as cli
-from freebraid import commutation_graph, enumerate_classes, f_signature, inversion_triples
+from freebraid import commutation_graph, enumerate_classes, f_signature
 from freebraid.oracle import oracle_classes_by_bfs
 from freebraid.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
@@ -133,8 +133,8 @@ def test_analyze_verify_non_path_graph(capsys):
 
 
 def test_verify_catches_contractibility_mismatch(capsys, monkeypatch):
-    # An oracle that sees every inversion triple as three consecutive roots.
-    every = lambda w, cap=None: frozenset(frozenset(t) for t in inversion_triples(w))
+    # An oracle that sees every three inversion roots as consecutive ones.
+    every = lambda sequences: frozenset(map(frozenset, itertools.combinations(min(sequences), 3)))
     monkeypatch.setattr(cli, "oracle_contractible_triples", every)
     code, _, err = run(capsys, *GOLDEN_D4)
     assert code == EXIT_VERIFY

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from freebraid import (
     InversionTriple,
+    RootSequence,
+    class_partition,
+    commutation_equivalent,
     consecutive_normal_form,
     contractible_triples,
     element_of,
@@ -223,3 +228,47 @@ def test_normal_form_rejects_foreign_sequence():
     w = perm_to_element(parse_permutation("52143"))
     with pytest.raises(ValueError):
         consecutive_normal_form(w, root_sequence(parse_graph("A4"), (1, 2, 1)))
+
+
+def test_normal_form_rejects_orderings_that_are_not_root_sequences():
+    rejected = 0
+    for length, elems in group_by_length(A3, 5).items():
+        for w in elems:
+            if not is_freely_braided(w):
+                continue
+            seqs = {root_sequence(A3, word).roots for word in enumerate_reduced_words(w)}
+            for order in itertools.permutations(min(seqs)):
+                if order not in seqs:
+                    with pytest.raises(ValueError):
+                        consecutive_normal_form(w, RootSequence(A3, order))
+                    rejected += 1
+    assert rejected == 136
+
+
+@pytest.mark.parametrize(
+    "spec, max_length", [("D4", 12), ("D5", 8), ("E6", 7), ("1-2,2-3,1-3", 9)]
+)
+def test_normal_form_exact_placement(spec, max_length):
+    # Each triple becomes a block where its middle root sat, its outer roots
+    # on the sides they held; every other root keeps its order.
+    g = parse_graph(spec)
+    for length, elems in group_by_length(g, max_length).items():
+        for w in elems:
+            if not is_freely_braided(w):
+                continue
+            triples = contractible_triples(w)
+            in_triples = {r for t in triples for r in t}
+            outer = in_triples - {t.mid for t in triples}
+            for block in class_partition(w):
+                for roots in block:
+                    start = RootSequence(g, roots)
+                    out = consecutive_normal_form(w, start)
+                    assert [r for r in out if r not in in_triples] == [
+                        r for r in roots if r not in in_triples
+                    ]
+                    assert [r for r in out if r not in outer] == [r for r in roots if r not in outer]
+                    for t in triples:
+                        p = out.roots.index(t.mid)
+                        left, right = sorted((t.low, t.high), key=roots.index)
+                        assert out.roots[p - 1:p + 2] == (left, t.mid, right)
+                    assert commutation_equivalent(out, start)
