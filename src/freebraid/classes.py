@@ -4,36 +4,39 @@ A commutation class of an element w is a class of its reduced words under
 swaps of adjacent commuting letters.  It is a heap of pieces (Viennot): one
 piece per letter occurrence, where a piece lies below every later piece
 whose letter is equal or adjacent to its own, and the words of the class are
-exactly the linear extensions of the heap.
+exactly the linear extensions of the heap.  A class is held as its lex-least
+word, as bytes over w's support relabelled in order (which keeps lex order).
 
-Classes are found by a breadth-first search whose states are classes, not
-words.  A class is held as its lex-least word (its heap's first linear
-extension) and its search key; its root sequence is derived from that word
-when asked for.  The class layer writes every word once, as bytes over w's
-support relabelled in order (which keeps lex order), and spells it in w's
-letters only when it hands it out.  Until its class is expanded, each piece
-in the search queue also carries the index of its root in the root
-sequence of canonical_word(w), for the move labels.  Long braid moves join
-classes: two consecutive s-pieces p < r admit one exactly when the open
-heap interval (p, r) is a single piece q.  The letters between p and r
-then commute with s, so the move rewrites s A t B s as A t s t B and
-reverses the root indices of the three pieces; inserting the moved pieces
-one by one into the unchanged prefix before p gives the new class's
-lex-least word.  The move labels {root(p), root(q), root(r)} are exactly
-the contractible triples.
+Equal or adjacent letters never commute, so w is a product of commuting
+factors, one per connected component of its support, and so is each heap: a
+class of w is one class per factor, its lex-least word merges theirs, and
+its size is the multinomial of the factors' lengths times their sizes.
 
-The search keys a class by the XOR of one bit per move label on a path to
-it from the start class, and braids out a class's word only when its key is
-new.  The key is sound.  A class is fixed by the order of each of its
-non-orthogonal pairs of roots (its heap order), and such a pair lies in at
-most one inversion triple.  A short move reorders no such pair; a long move
-reverses exactly the three pairs of its own triple, contractible by
-definition.  So pairs outside contractible triples keep one order in every
-class, and a key XOR the start class's lex signature, the XOR taken once
-after the search, is the class's lex signature: equal keys mean one class.
-A signature bit is 1 when the heap orders its triple's two summands against
-a fixed precedence on roots; another precedence's bits are the key XOR one
-mask, so revlex bits are lex bits XOR one vector per element.
+A factor u is read off one pass up the right weak order below it.  Layer l
+holds each prefix x of u of length l as v = u^-1 x, keyed by the bitmask of
+the roots x has placed, with each class of x and its size.  A letter s may
+follow x exactly when it is a right descent of v, and its piece has root
+-v(a_s).  Each class of x takes one s-piece, inserted into the run of
+letters at the end that commute with s, before the first larger one or
+last, which keeps the word free of factors b y a with a < b and a commuting
+with b y, so lex-least (Anisimov and Knuth, 1979); its size is added to the
+new class's.  The sums are sizes: a heap's maximal pieces have distinct
+letters, as two pieces of one letter are comparable, so a class is reached
+once per maximal piece, from the class without it.  Where adjacent s and t
+are both right descents of v, the pieces s t s can come next, so
+{-v(a_s), -v(a_s) - v(a_t), -v(a_t)} is contractible; a prefix that s t s
+can follow can also be followed by t s t, so every contractible triple is
+found this way.
+
+A class's key is its lex signature: one bit per contractible triple, 1 when
+the class places the triple's high summand after its low one.  A signature
+bit is 1 when the heap orders its triple's two summands against a fixed
+precedence on roots; another precedence's bits are the key XOR one mask, so
+revlex bits are lex bits XOR one vector per element.  Keys are injective: a
+class is fixed by the order of its non-orthogonal pairs of roots, each in at
+most one inversion triple, and as braid moves join all reduced words, a
+short move reordering none and a long move the three of its own contractible
+triple, pairs outside contractible triples keep one order in every class.
 
 The keys also give the edges.  A long move flips its own label's bit alone,
 and conversely classes C and C' whose keys differ only in the bit of
@@ -48,28 +51,23 @@ where T is reversed, and closes a cycle.  So T is an interval of C's heap,
 some word of C carries it consecutively, and the long move there gives the
 class keyed by C's key XOR T's bit, which is C' as keys are injective.
 
-A class's size is the number of linear extensions of its heap, counted by
-one recursion for all of an element's classes: the count of a heap is the
-sum, over its maximal pieces, of the counts of the heap without that piece,
-and the empty heap counts 1.  Deleting a maximal piece from a lex-least word
-leaves a lex-least word (every letter after the piece commutes with it), so
-each sub-heap is keyed by its word alone and the classes share one memo.
-It holds every sub-heap of every class until the sizes are done.
 Reduced words are listed only by enumerate_reduced_words and class_partition,
-by the same recursion: each maximal piece of a class's lex-least word in turn
-ends the word, after every listing of the heap without it, each piece
-carrying its root.  Caps: the class search counts commutation classes, the
-size memo counts the entries one class adds at one length (distinct down-sets
-of that class's heap of one size, never more than the class has words), and
-word listing counts reduced words; each raises CapExceededError once its
-tally passes the cap.  An engine is built for one element under one cap and
-bounds all its work by that cap.
+each maximal piece of a lex-least word in turn ending the word.  Caps: the
+first time a layer holds more classes than the cap, a walk counts u's
+lex-least words; its partial sums are lower bounds, so one past the cap
+raises the class error.  A layer with more prefixes than the cap raises, and
+so do more classes than the cap in the product of the passes.  Word
+listing counts reduced words.  An engine is built for one element under one
+cap and bounds its work by it.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
+from heapq import merge
+from itertools import product
+from math import factorial, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .coxeter import (
@@ -80,6 +78,8 @@ from .coxeter import (
     Element,
     Root,
     Word,
+    _calculus,
+    _identity,
     canonical_word,
     format_word,
 )
@@ -181,179 +181,170 @@ class Bipartition(NamedTuple):
     coloring: tuple[int, ...] | None
 
 
-def _long_moves(word: bytes, near: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
-    """Word positions (p, q, r) of every long braid move on the class heap.
-
-    p and r are consecutive s-pieces.  A piece strictly between them in the
-    heap needs an s-neighbor between them in the word on each side of it,
-    so the open interval (p, r) is one piece exactly when one letter between
-    positions p and r is adjacent to s.
-    """
-    n = len(word)
-    for p, s in enumerate(word):
-        adjacent = near[s] ^ (1 << s)
-        q = -1
-        for k in range(p + 1, n):
-            t = word[k]
-            if t == s:
-                if q >= 0:
-                    yield p, q, k
-                break
-            if adjacent >> t & 1:
-                if q >= 0:
-                    break
-                q = k
+@functools.lru_cache(maxsize=64)
+def _induced(g: CoxeterGraph, support: Word) -> tuple[CoxeterGraph, tuple[int, ...], tuple[int, ...]]:
+    """The subgraph of g induced on ``support``, its letters relabelled 1..k
+    in order; the closed neighbourhood of each relabelled letter i - 1 as a
+    bitmask; and the connected components, as letter masks."""
+    letter = {s: i for i, s in enumerate(support)}
+    edges = {(letter[s] + 1, letter[t] + 1) for s in support for t in g.neighbors[s - 1] if t in letter}
+    sub = CoxeterGraph(len(support), frozenset(edges))
+    near = tuple(sum(1 << t - 1 for t in sub.neighbors[i]) | 1 << i for i in range(sub.n))
+    parts: list[int] = []
+    for s, closed in enumerate(near):
+        touching = [p for p in parts if p & closed]
+        parts = [p for p in parts if not p & closed] + [sum(touching, 1 << s)]
+    return sub, near, tuple(parts)
 
 
-def _braid(
-    word: bytes, idx: bytes, p: int, q: int, r: int, near: tuple[int, ...]
-) -> tuple[bytes, bytes]:
-    """The class one long braid move away, s A t B s to A t s t B, as its
-    lex-least word and indices; the lex-least prefix before p stays."""
-    t = word[q]
-    moved = word[:p] + word[p + 1 : q] + bytes((t, word[p], t)) + word[q + 1 : r] + word[r + 1 :]
-    roots = idx[:p] + idx[p + 1 : q] + bytes((idx[r], idx[q], idx[p])) + idx[q + 1 : r] + idx[r + 1 :]
-    return _least_extension(moved, roots, near, p)
+def _capped_walk(sub: CoxeterGraph, start: list, zero, letters: list[int], near: tuple[int, ...],
+                 length: int, cap: int) -> None:
+    """Raise the class error if a partial count of the lex-least words of u,
+    of ``length`` and whose inverse has columns ``start``, passes ``cap``.
+    A state is v and the letters that may not come next: appending c adds
+    the letters below c and drops those equal or adjacent to c."""
+    step = _calculus(sub)[2]
+    memo: dict = {}
 
-
-def _least_extension(
-    word: bytes, idx: bytes, near: tuple[int, ...], start: int
-) -> tuple[bytes, bytes]:
-    """The lex-least linear extension of the heap of `word`, with root
-    indices, when ``word[:start]`` is already lex-least for its own heap.
-
-    Each later piece goes into the run of letters at the end that commute
-    with it, just before the first letter of that run larger than it, or
-    last.  That keeps the word free of factors b u a with a < b and a
-    commuting with b u, which is what makes a word lex-least in its class
-    (Anisimov and Knuth, 1979).
-    """
-    letters, roots = list(word[:start]), list(idx[:start])
-    for a, i in zip(word[start:], idx[start:]):
-        blocking = near[a]
-        at = m = len(letters)
-        while m and not blocking >> letters[m - 1] & 1:
-            m -= 1
-            if letters[m] > a:
-                at = m
-        letters.insert(at, a)
-        roots.insert(at, i)
-    return bytes(letters), bytes(roots)
-
-
-def _class_sizes(words: list[bytes], near: tuple[int, ...], cap: int) -> list[int]:
-    """Number of linear extensions of the heap of each lex-least word in
-    ``words``, the classes of one element in the engine's letters, from one
-    shared memo keyed by the words themselves.
-
-    A piece is maximal when no later letter is equal or adjacent to it, so
-    a backward scan finds them all; once the letters passed block every
-    letter of the support, no earlier piece is maximal.  ``cap`` bounds the
-    new entries one word adds at one length: distinct down-sets of its heap
-    of one size, so never more than its linear extensions.
-    """
-    full = (1 << len(near)) - 1
-    memo = {b"": 1}
-    added: list[int] = []
-
-    def count(word: bytes) -> int:
-        n = len(word)
-        added[n] += 1
-        if added[n] > cap:
-            raise CapExceededError(
-                f"more than {cap} down-sets of one size in a class heap", count=cap + 1
-            )
-        total = blocked = 0
-        for p in range(n - 1, -1, -1):
-            s = word[p]
-            if not blocked >> s & 1:
-                sub = word[:p] + word[p + 1 :]
-                k = memo.get(sub)
-                total += count(sub) if k is None else k
-            blocked |= near[s]
-            if blocked == full:
-                break
-        memo[word] = total
+    def count(cols: list, left: int, blocked: int) -> int:
+        if not left:
+            return 1
+        state = (tuple(cols), blocked)
+        if state in memo or len(memo) >= cap * length:  # past the budget, a new state counts 0
+            return memo.get(state, 0)
+        total = 0
+        for s in letters:
+            if not blocked >> s & 1 and cols[s] < zero:
+                moved = cols[:]
+                step(sub, moved, s + 1)
+                total += count(moved, left - 1, (blocked | (1 << s) - 1) & ~near[s])
+                if total > cap:
+                    raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
+        memo[state] = total
         return total
 
-    sizes = []
-    for word in words:
-        added[:] = [0] * (len(word) + 1)
-        sizes.append(memo[word] if word in memo else count(word))
+    count(start, length, 0)
     del count  # count's closure holds count: break the cycle, so the memo goes on return
-    return sizes
+
+
+def _pass(sub: CoxeterGraph, start: list, zero, bit: dict, word: bytes, near: tuple[int, ...],
+          cap: int) -> tuple[dict[bytes, int], set]:
+    """The classes of the factor u that ``word`` spells, lex-least word to
+    size, and the column pairs of its contractible triples' summands.  A
+    layer maps the placed-root bitmask of each v, from u^-1 (``start`` on
+    u's letters), to v's columns and classes; ``bit`` maps a piece's column
+    to its root's bit."""
+    step = _calculus(sub)[2]
+    letters = sorted(set(word))
+    above = {s: [t - 1 for t in sub.neighbors[s] if t - 1 > s] for s in letters}
+    pieces = {s: bytes((s,)) for s in letters}
+    free = {s: bytes([t for t in range(len(near)) if not near[s] >> t & 1]) for s in letters}
+    lower = {s: bytes([t for t in free[s] if t < s]) for s in letters}
+    pairs = set()
+    layer = {0: (start, {b"": 1})}
+    walked = False
+    for _ in word:
+        grown: dict = {}
+        total = 0
+        for mask, (cols, classes) in layer.items():
+            for s in letters:
+                c = cols[s]
+                if not c < zero:
+                    continue
+                for t in above[s]:
+                    if cols[t] < zero:
+                        pairs.add((c, cols[t]))
+                to = mask | bit[c]
+                entry = grown.get(to)
+                if entry is None:
+                    moved = cols[:]
+                    step(sub, moved, s + 1)
+                    entry = grown[to] = moved, {}
+                into = entry[1]
+                total -= len(into)
+                piece, commuting, below = pieces[s], free[s], lower[s]
+                for x, k in classes.items():  # s joins the run of letters commuting with it
+                    rest = x[len(x.rstrip(commuting)):].lstrip(below)  # that ends x, before its first above s
+                    y = x[: len(x) - len(rest)] + piece + rest
+                    into[y] = into.get(y, 0) + k
+                total += len(into)
+            if total > cap and not walked:
+                walked = True
+                _capped_walk(sub, start, zero, letters, near, len(word), cap)
+            if len(grown) > cap:
+                raise CapExceededError(
+                    f"more than {cap} down-sets of one size in a class heap", count=cap + 1
+                )
+        layer = grown
+    (_, classes), = layer.values()
+    return classes, pairs
 
 
 class _Engine:
-    """The commutation classes of one element, found by a search over heaps.
+    """The commutation classes of one element, from one pass per factor.
 
     Words are ``bytes`` over w's support relabelled in order: letter i is
     ``support[i]``, and ``near[i]`` has bit j set when letters i and j are
     equal or adjacent.  ``classes`` maps each class's lex-least word, in
-    sorted order, to its key, its lex signature.  The search keeps the keys
-    it has found and a queue whose entries carry root indices until they
-    are expanded: ``idx[p]`` places the root of the piece at word position p
-    in the root sequence of canonical_word(w).  A neighbour's key is
-    ``key ^ bits[label]``; ``labels`` holds the sorted move labels, the
-    contractible triples, and ``places`` their key bits' places.
-    commutation_graph reads the edges off the keys (see the module
-    docstring).  ``cap`` bounds the classes found, the entries one class
-    adds at one length to the size memo and the words ``members`` lists.
+    sorted order, to its key, and ``sizes`` holds their sizes in that order.
+    ``labels`` holds the contractible triples, sorted, bit j of a key for
+    labels[j].  ``cap`` bounds the classes, the prefixes of one length in a
+    pass and the words ``members`` lists.
     """
 
-    __slots__ = ("cap", "support", "near", "classes", "labels", "places", "_sizes")
+    __slots__ = ("cap", "support", "near", "classes", "sizes", "labels")
 
     def __init__(self, w: Element, cap: int):
-        g = w.graph
-        start = canonical_word(w)
-        support = tuple(sorted(set(start)))
+        g, least = w.graph, canonical_word(w)
+        support = tuple(sorted(set(least)))
         letter = {s: i for i, s in enumerate(support)}
-        near = tuple(sum(1 << letter[t] for t in (s, *g.neighbors[s - 1]) if t in letter)
-                     for s in support)
-        base = root_sequence(g, start).roots
-        found = {0}
-        queue = [(bytes([letter[s] for s in start]), bytes(range(len(start) - 1, -1, -1)), 0)]
-        bits: dict[tuple[int, int, int], int] = {}
-        for i, (word, idx, key) in enumerate(queue):
-            for p, q, r in _long_moves(word, near):
-                a, b = (idx[p], idx[r]) if idx[p] < idx[r] else (idx[r], idx[p])
-                next_key = key ^ bits.setdefault((a, idx[q], b), 1 << len(bits))
-                if next_key not in found:
-                    if len(queue) >= cap:
-                        raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
-                    found.add(next_key)
-                    queue.append((*_braid(word, idx, p, q, r, near), next_key))
-            queue[i] = word, key
-        start_lex, labels = 0, []
-        for (a, m, b), bit in bits.items():
-            if base[a] > base[b]:  # the start class puts root a before b: lex bit 1
-                start_lex, a, b = start_lex | bit, b, a
-            labels.append((InversionTriple(base[a], base[m], base[b]), bit.bit_length() - 1))
-        labels.sort()
+        sub, near, components = _induced(g, support)
+        word = bytes([letter[s] for s in least])
+        encode, decode, step, _ = _calculus(sub)
+        start, bit = encode([_identity(g.n)[s - 1] for s in support]), {}
+        for i in range(len(word) - 1, -1, -1):  # start runs to w^-1, its column of word[i] to -root i
+            step(sub, start, word[i] + 1)
+            bit[start[word[i]]] = 1 << i
+        zero = encode([(0,) * g.n])[0]
+        factors = [bytes([s for s in word if part >> s & 1]) for part in components]
+        parts = [_pass(sub, start, zero, bit, u, near, cap) for u in factors]
+        if prod(len(classes) for classes, _ in parts) > cap:
+            raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
+        if len(parts) == 1:
+            rows = sorted(parts[0][0].items())
+        else:  # a class is one class per factor, and its words shuffle theirs
+            ways = factorial(len(word)) // prod(factorial(len(u)) for u in factors)
+            rows = sorted((bytes(merge(*[x for x, _ in combo])), ways * prod([k for _, k in combo]))
+                          for combo in product(*[classes.items() for classes, _ in parts]))
+        ends = {}
+        for pair in set().union(*[pairs for _, pairs in parts]):
+            roots = [tuple([-x for x in r]) for r in decode(pair, g.n)]
+            (low, lo), (high, hi) = sorted(zip(roots, pair))
+            ends[InversionTriple(low, tuple([a + b for a, b in zip(low, high)]), high)] = lo, hi
+        self.labels = tuple(sorted(ends))
+        spans = list(enumerate(ends[t] for t in self.labels))
         self.cap = cap
         self.support, self.near = support, near
-        self.classes = dict(sorted((word, key ^ start_lex) for word, key in queue))
-        self.labels = tuple(t for t, _ in labels)
-        self.places = tuple(j for _, j in labels)
-        self._sizes: list[int] | None = None
-
-    def sizes(self) -> list[int]:
-        if self._sizes is None:
-            self._sizes = _class_sizes(list(self.classes), self.near, self.cap)
-        return self._sizes
+        self.sizes = [k for _, k in rows]
+        self.classes = {}
+        for x, _ in rows:  # a key bit is 1 when x places the triple's high summand after its low one
+            cols, pos = start[:], {}
+            for i, s in enumerate(x if spans else b""):
+                pos[cols[s]] = i
+                step(sub, cols, s + 1)
+            self.classes[x] = sum(1 << j for j, (lo, hi) in spans if pos[hi] > pos[lo])
 
     def mask(self, precedence: Precedence) -> int:
         """The key bits of the labels whose summands ``precedence`` orders against lex."""
-        pairs = zip(self.labels, self.places)
-        return sum(1 << j for t, j in pairs if not precedence.precedes(t.low, t.high))
+        return sum(1 << j for j, t in enumerate(self.labels) if not precedence.precedes(t.low, t.high))
 
     def bits(self, x: int) -> tuple[int, ...]:
         """The bits of ``x``, per sorted label."""
-        return tuple([x >> j & 1 for j in self.places])
+        return tuple([x >> j & 1 for j in range(len(self.labels))])
 
     def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
         words = (tuple([self.support[s] for s in word]) for word in self.classes)
-        return tuple(CommutationClass(g, word, k) for word, k in zip(words, self.sizes()))
+        return tuple(CommutationClass(g, word, k) for word, k in zip(words, self.sizes))
 
     def members(self, g: CoxeterGraph) -> Iterator[tuple[list[Word], list[tuple[Root, ...]]]]:
         """Per class, in class order, its reduced words and their root
@@ -361,10 +352,10 @@ class _Engine:
 
         The pieces still in the heap are a mask of word positions, and each
         piece carries its root (a root sequence runs right to left).  A
-        backward scan over the mask finds the maximal pieces as the memo's
-        does; each in turn is written, as a letter of w, at the last open
-        place of the word and the first open place of its root sequence,
-        and the rest is peeled.
+        backward scan over the mask finds the maximal pieces: each in turn
+        is written, as a letter of w, at the last open place of the word
+        and the first open place of its root sequence, and the rest is
+        peeled.
         """
         cap, support, near = self.cap, self.support, self.near
         full = (1 << len(near)) - 1
@@ -437,7 +428,7 @@ def class_partition(w: Element, cap: int | None = None) -> list[frozenset[tuple[
 def f_signature(
     w: Element, c: CommutationClass, precedence: Precedence = LEX, cap: int | None = None
 ) -> FSignature:
-    """The signature of class c, read off its search key."""
+    """The signature of class c, read off its key."""
     e = _engine(w, cap)
     letter = {s: i for i, s in enumerate(e.support)}
     word = c.canonical_word
@@ -475,7 +466,7 @@ def count_classes_and_check_bound(w: Element, cap: int | None = None) -> BoundCh
 def commutation_graph(w: Element, cap: int | None = None) -> CommutationGraph:
     """The classes of w, joined where their keys differ in one bit."""
     e = _engine(w, cap)
-    vertices = e.vertices(w.graph)  # sized first, so the size memo is gone before the edges
+    vertices = e.vertices(w.graph)
     rank = {key: i for i, key in enumerate(e.classes.values())}
     flips = [1 << j for j in range(len(e.labels))]
     edges = ((i, k) for key, i in rank.items() for f in flips if (k := rank.get(key ^ f, -1)) > i)

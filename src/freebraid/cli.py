@@ -3,8 +3,8 @@
 Subcommands: reduce (word calculus), analyze (triples, classes, signatures,
 bound), graph (commutation graph as JSON or DOT), enumerate (type-A tables).
 Output is JSON with sorted keys by default; --format text switches to a
-human layout.  Exit codes: 0 ok, 2 parse error, 3 cap exceeded, 4
-verification mismatch.
+human layout.  Exit codes: 0 ok, 2 parse error, 3 cap exceeded or out of
+memory, 4 verification mismatch.
 """
 
 from __future__ import annotations
@@ -403,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as e:
         partial = f" (partial count: {e.count})" if e.count is not None else ""
         print(f"error: {e}{partial}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)

@@ -69,16 +69,15 @@ Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 # Guards for the enumeration entry points.  The sequence cap bounds three
-# things: commutation classes, the entries one class adds at one length to
-# the shared class-size memo (distinct down-sets of one size of its heap),
-# and reduced words where words are listed.  The size memo holds every
-# sub-heap of every class until the sizes are done, so the cap bounds it
-# per class, not in total.  The length cap bounds the words we agree to
+# things: commutation classes, the prefixes of one length that a pass of the
+# class engine holds, and reduced words where words are listed.  A layer of
+# a pass may hold more classes than the cap: the first time it does, a
+# counting walk decides whether w itself has more, within a budget of cap
+# times the length in states.  The length cap bounds the words we agree to
 # enumerate, and so an element's support: relabelled, its letters fit a
-# byte, which is how the class layer stores every word, not only the size
-# memo's keys.  It also bounds the recursions of _class_sizes and
-# _Engine.members, one call per letter, far below Python's default limit
-# of 1,000.
+# byte, which is how the class layer stores every word.  It also bounds the
+# recursions of that walk and of _Engine.members, one call per letter, far
+# below Python's default limit of 1,000.
 DEFAULT_SEQUENCE_CAP = 10**6
 DEFAULT_MAX_WORD_LENGTH = 64
 

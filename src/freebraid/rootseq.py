@@ -10,6 +10,7 @@ Two sequences are commutation equivalent exactly when their heap orders
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .coxeter import (
@@ -202,7 +203,11 @@ def apply_long_move(r: RootSequence, k: int) -> RootSequence:
 
 
 def commutation_equivalent(r1: RootSequence, r2: RootSequence) -> bool:
-    """Heap-order equality; comparing sequences of different elements errors."""
+    """Heap-order equality, which holds exactly when every non-orthogonal pair
+    comes in the same order in both; comparing sequences of different
+    elements errors."""
     if r1.graph != r2.graph or frozenset(r1.roots) != frozenset(r2.roots):
         raise ValueError("root sequences belong to different elements")
-    return heap_order(r1) == heap_order(r2)
+    at = {r: i for i, r in enumerate(r2.roots)}
+    pairs = combinations(r1.roots, 2)
+    return len(r1) == len(at) and all(at[a] < at[b] for a, b in pairs if pairing(r1.graph, a, b))

@@ -2,12 +2,13 @@
 
 An inversion triple of w is a subset {low, low+high, high} of its inversion
 set.  The triple is contractible when some root sequence of w carries its
-three roots consecutively, i.e. when it labels a long braid move of the
-class engine.  On a graph whose components are paths every inversion triple
-is contractible, so no class search runs there.  An element is freely
-braided when its contractible triples are pairwise disjoint, and then each
-class has a sequence in which every contractible triple is a consecutive
-block where its middle root sat and all other roots keep their order.
+three roots consecutively, which the class engine reads off the pairs of
+adjacent right descents it meets.  On a graph whose components are paths
+every inversion triple is contractible, so no class engine runs there.  An
+element is freely braided when its contractible triples are pairwise
+disjoint, and then each class has a sequence in which every contractible
+triple is a consecutive block where its middle root sat and all other roots
+keep their order.
 
 On a graph of finite type of rank at most 8 an element's triples are looked
 up in a per-graph table of the positive roots' triples: at most 1,120 reads,
@@ -92,8 +93,8 @@ def is_contractible(w: Element, t: InversionTriple, cap: int | None = None) -> b
 
 
 def contractible_triples(w: Element, cap: int | None = None) -> frozenset[InversionTriple]:
-    """All inversion triples on a path forest, else the long braid move labels
-    of the class engine."""
+    """All inversion triples on a path forest, else the contractible triples
+    the class engine finds."""
     if is_path_forest(w.graph):
         return inversion_triples(w)
     return frozenset(_engine(w, cap).labels)

@@ -9,6 +9,8 @@ against the brute-force oracles.
 
 from __future__ import annotations
 
+import json
+import time
 import tracemalloc
 from math import comb, factorial, prod
 
@@ -22,6 +24,7 @@ from freebraid import (
     REVLEX,
     CapExceededError,
     CoxeterGraph,
+    canonical_word,
     class_partition,
     commutation_graph,
     contractible_triples,
@@ -38,14 +41,7 @@ from freebraid import (
     times_generator,
 )
 from freebraid.cli import EXIT_CAP, EXIT_OK, main
-from freebraid.classes import (
-    _Engine,
-    _braid,
-    _class_sizes,
-    _engine,
-    _least_extension,
-    _long_moves,
-)
+from freebraid.classes import _Engine, _engine
 from freebraid.oracle import oracle_classes_by_bfs, oracle_commutation_edges, oracle_contractible
 from freebraid.typea import perm_to_element
 from conftest import GOLDEN_D4_WORD, group_by_length, random_elements
@@ -77,43 +73,48 @@ def test_w0_classes_and_sizes_match_the_literature(n):
     assert len(commutation_graph(w).edges) == W0_EDGES[n]
 
 
-def test_the_engine_braids_once_per_class(monkeypatch):
-    """A class's word is built only when its key is new: 907 braid moves for
-    the 908 classes of w0(A5), not one per edge of the search (4,288)."""
-    calls = 0
-    braid = freebraid.classes._braid
+def count_calls(monkeypatch, *names: tuple[object, str]) -> dict[str, int]:
+    """Count the calls of each (owner, name) for the rest of the test."""
+    calls = {name: 0 for _, name in names}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return braid(*args)
-
-    monkeypatch.setattr(freebraid.classes, "_braid", counted)
-    freebraid.classes._built.cache_clear()
-    assert len(enumerate_classes(perm_to_element((6, 5, 4, 3, 2, 1)))) == 908
-    assert calls == 907
-
-
-def test_analyze_builds_no_heap_and_counts_sizes_once(monkeypatch, capsys):
-    """The sizes of all 908 classes of w0(A5) come from one run of the shared
-    size memo, and no class heap is peeled to list its words."""
-    calls = {"_class_sizes": 0, "members": 0}
-
-    def counting(owner, name):
+    for owner, name in names:
         fn = getattr(owner, name)
 
-        def counted(*args):
+        def counted(*args, fn=fn, name=name):
             calls[name] += 1
             return fn(*args)
 
         monkeypatch.setattr(owner, name, counted)
-
-    counting(freebraid.classes, "_class_sizes")
-    counting(freebraid.classes._Engine, "members")
     freebraid.classes._built.cache_clear()
+    return calls
+
+
+def test_the_engine_braids_once_per_class(monkeypatch):
+    """The 908 classes of w0(A5) are built by inserting pieces in one pass up
+    the weak order, with no braid moves and no class search, and at the
+    default cap the class-count walk never runs."""
+    calls = count_calls(monkeypatch, (freebraid.classes, "_pass"), (freebraid.classes, "_capped_walk"))
+    assert len(enumerate_classes(perm_to_element((6, 5, 4, 3, 2, 1)))) == 908
+    assert calls == {"_pass": 1, "_capped_walk": 0}
+
+
+def test_analyze_builds_no_heap_and_counts_sizes_once(monkeypatch, capsys):
+    """The sizes of all 908 classes of w0(A5) come from one pass, and no
+    class heap is peeled to list its words."""
+    calls = count_calls(monkeypatch, (freebraid.classes, "_pass"), (freebraid.classes._Engine, "members"))
     assert main(["analyze", "--perm", "654321"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == {"_class_sizes": 1, "members": 0}
+    assert calls == {"_pass": 1, "members": 0}
+
+
+def test_one_pass_per_support_component(monkeypatch, capsys):
+    """w0(A4) twice over, on two components of the support, takes two
+    passes, one per component, and peels no class heap."""
+    calls = count_calls(monkeypatch, (freebraid.classes, "_pass"), (freebraid.classes._Engine, "members"))
+    argv = ["analyze", "-g", "1-2,2-3,3-4,5-6,6-7,7-8", "-w", "1 2 1 3 2 1 4 3 2 1 5 6 5 7 6 5 8 7 6 5"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"_pass": 2, "members": 0}
 
 
 # Elements on a path, a branched, an exceptional, a cyclic (affine A~2) and
@@ -125,6 +126,29 @@ SCAN_CASES = [
     (parse_graph("1-2,2-3,1-3"), (1, 2, 3, 1, 2, 3, 2)),
     (parse_graph("1-2,3-4"), (1, 2, 1, 3, 4, 3)),
 ]
+
+
+def least_extension(word: bytes, idx: bytes, near: tuple[int, ...], start: int) -> tuple[bytes, bytes]:
+    """Reference: the lex-least linear extension of the heap of ``word``,
+    with root indices, when ``word[:start]`` is already lex-least for its own
+    heap.
+
+    Each later piece goes into the run of letters at the end that commute
+    with it, just before the first letter of that run larger than it, or
+    last.  That keeps the word free of factors b u a with a < b and a
+    commuting with b u (Anisimov and Knuth, 1979).
+    """
+    letters, roots = list(word[:start]), list(idx[:start])
+    for a, i in zip(word[start:], idx[start:]):
+        blocking = near[a]
+        at = m = len(letters)
+        while m and not blocking >> letters[m - 1] & 1:
+            m -= 1
+            if letters[m] > a:
+                at = m
+        letters.insert(at, a)
+        roots.insert(at, i)
+    return bytes(letters), bytes(roots)
 
 
 @pytest.mark.parametrize("g, word", SCAN_CASES)
@@ -142,7 +166,7 @@ def test_insertion_gives_the_first_linear_extension(g, word):
         for member, seq in zip(words, seqs):
             assert seq == root_sequence(g, member).roots
             relabelled = bytes(letter[s] for s in member)
-            found, idx = _least_extension(relabelled, bytes(range(len(member))), e.near, 0)
+            found, idx = least_extension(relabelled, bytes(range(len(member))), e.near, 0)
             assert found == least and tuple(seq[::-1][i] for i in idx) == first
 
 
@@ -166,22 +190,54 @@ def test_signatures_read_off_the_key_match_heap_positions(g, word):
             assert list(f_signature(w, c, precedence).entries) == expected
             vectors.append([b for _, b in expected])
         lex, revlex = vectors
-        assert [key >> j & 1 for j in e.places] == lex
+        assert [key >> j & 1 for j in range(len(e.labels))] == lex
         differences.add(tuple(a ^ b for a, b in zip(lex, revlex)))
     assert len(differences) == 1
 
 
+def long_moves(word: bytes, near: tuple[int, ...]):
+    """Reference: word positions (p, q, r) of every long braid move on the
+    class heap of ``word``.
+
+    p and r are consecutive s-pieces.  A piece strictly between them in the
+    heap needs an s-neighbor between them in the word on each side of it,
+    so the open interval (p, r) is one piece exactly when one letter between
+    positions p and r is adjacent to s.
+    """
+    n = len(word)
+    for p, s in enumerate(word):
+        adjacent = near[s] ^ (1 << s)
+        q = -1
+        for k in range(p + 1, n):
+            t = word[k]
+            if t == s:
+                if q >= 0:
+                    yield p, q, k
+                break
+            if adjacent >> t & 1:
+                if q >= 0:
+                    break
+                q = k
+
+
+def braid(word: bytes, p: int, q: int, r: int, near: tuple[int, ...]) -> bytes:
+    """Reference: the lex-least word of the class one long braid move away,
+    s A t B s to A t s t B; the lex-least prefix before p stays."""
+    t = word[q]
+    moved = word[:p] + word[p + 1 : q] + bytes((t, word[p], t)) + word[q + 1 : r] + word[r + 1 :]
+    return least_extension(moved, bytes(len(moved)), near, p)[0]
+
+
 def move_log_edges(w):
-    """Reference: the edges as a log of the search's moves.  For each class
+    """Reference: the edges as a log of long braid moves.  For each class
     word, each long braid move is braided out to its neighbour's lex-least
     word, whose rank in class order is the other end of the edge."""
     e = _engine(w)
     rank = {word: i for i, word in enumerate(e.classes)}
     edges = set()
     for i, word in enumerate(e.classes):
-        idx = bytes(range(len(word)))
-        for p, q, r in _long_moves(word, e.near):
-            j = rank[_braid(word, idx, p, q, r, e.near)[0]]
+        for p, q, r in long_moves(word, e.near):
+            j = rank[braid(word, p, q, r, e.near)]
             edges.add((min(i, j), max(i, j)))
     return edges
 
@@ -219,14 +275,11 @@ def test_stembridge_table_matches_closed_forms():
 
 @pytest.mark.parametrize("name", sorted(STEMBRIDGE_FULLY_COMMUTATIVE))
 def test_fully_commutative_counts_match_stembridge(name):
-    fully_commutative = 0
-    for elements in group_by_length(parse_graph(name), 10**6).values():
-        for w in elements:
-            try:
-                count_classes_and_check_bound(w, cap=1)
-            except CapExceededError:
-                continue
-            fully_commutative += 1
+    fully_commutative = sum(
+        count_classes_and_check_bound(w).classes == 1
+        for elements in group_by_length(parse_graph(name), 10**6).values()
+        for w in elements
+    )
     assert fully_commutative == STEMBRIDGE_FULLY_COMMUTATIVE[name]
 
 
@@ -296,19 +349,79 @@ def antichain(k: int) -> tuple[int, ...]:
     return tuple(v for i in range(k) for v in (2 * i + 2, 2 * i + 1))
 
 
+def star(k: int):
+    """The star 1-2, ..., 1-(k+1) and the element 1 2 ... k+1: one piece 1
+    below k pairwise commuting pieces, one class of k! words."""
+    g = CoxeterGraph(k + 1, frozenset((1, t) for t in range(2, k + 2)))
+    return element_of(g, tuple(range(1, k + 2)))
+
+
 def test_class_size_dp_respects_the_cap():
-    w = perm_to_element(antichain(12))  # C(12, 6) = 924 down-sets have 6 pieces
+    w = star(12)  # C(12, 6) = 924 prefixes of length 7
     with pytest.raises(CapExceededError) as info:
         enumerate_classes(w, cap=100)
     assert info.value.count == 101
-    # The memo stops at the cap itself rather than checking after the count.
-    e = _engine(w)
-    with pytest.raises(CapExceededError):
-        _class_sizes(list(e.classes), e.near, 923)
-    assert _class_sizes(list(e.classes), e.near, 924) == [factorial(12)]
+    # The pass stops at the cap itself rather than checking after the count.
+    with pytest.raises(CapExceededError, match="more than 923 down-sets") as info:
+        enumerate_classes(w, cap=923)
+    assert info.value.count == 924
+    assert [c.size for c in enumerate_classes(w, cap=924)] == [factorial(12)]
     assert [c.size for c in enumerate_classes(w)] == [factorial(12)]
     with pytest.raises(CapExceededError):
         enumerate_classes(w, cap=100)  # an engine built under another cap does not answer
+
+
+def test_commuting_letters_are_one_class_of_factorial_words(capsys):
+    """Twenty pairwise commuting letters, 2 1 4 3 ... 40 39: one class of 20!
+    words, from twenty one-letter passes, in well under a second."""
+    perm = ",".join(str(v) for v in antichain(20))
+    started = time.perf_counter()
+    assert main(["analyze", "--perm", perm]) == EXIT_OK
+    elapsed = time.perf_counter() - started
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["size"] for c in doc["classes"]] == [factorial(20)]
+    assert (doc["class_count"], doc["N"], doc["edges"]) == (1, 0, [])
+    assert elapsed < 1.0, elapsed
+
+
+def test_two_w0_a4_factors_multiply():
+    """w0(A4) on two disjoint paths: the classes are pairs of classes, 62^2
+    (Knuth); a class's words shuffle its factors' words, so the sizes sum to
+    C(20, 10) * 768^2 (Stanley); and the graph is the Cartesian product of
+    two graphs of 62 vertices and 100 edges, with 2 * 62 * 100 edges."""
+    g = parse_graph("1-2,2-3,3-4,5-6,6-7,7-8")
+    w = element_of(g, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 6, 5, 7, 6, 5, 8, 7, 6, 5))
+    classes = enumerate_classes(w)
+    assert len(classes) == 62**2
+    assert sum(c.size for c in classes) == comb(20, 10) * 768**2 == 108_973_522_944
+    assert len(commutation_graph(w).edges) == 2 * 62 * 100
+    assert len(contractible_triples(w)) == 2 * 10
+    assert classes[0].canonical_word == canonical_word(w)
+
+
+@pytest.mark.parametrize(
+    "spec, word",
+    [
+        ("A4", ()),  # the identity: no component, one empty class
+        ("A4", (1, 2, 1, 4)),  # an isolated letter beside a braid
+        ("D5", (2, 1, 2, 5)),
+        ("1-2,2-3,1-3,4-5", (1, 2, 3, 1, 2, 3, 2, 4, 5, 4)),  # affine A~2 beside A2
+    ],
+)
+def test_factored_classes_match_the_oracles(spec, word):
+    """Elements whose support splits: classes, sizes, triples and edges
+    against the brute-force oracles."""
+    g = parse_graph(spec)
+    w = element_of(g, word)
+    blocks = oracle_classes_by_bfs(w)
+    rank = {block: i for i, block in enumerate(class_partition(w))}
+    assert rank.keys() == set(blocks)
+    at = [rank[block] for block in blocks]
+    assert [c.size for c in enumerate_classes(w)] == [len(blocks[at.index(i)]) for i in range(len(at))]
+    assert contractible_triples(w) == {t for t in inversion_triples(w) if oracle_contractible(w, t)}
+    assert commutation_graph(w).edges == {
+        tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(blocks)
+    }
 
 
 def linear_extension_count(word, near) -> int:
@@ -371,9 +484,10 @@ def test_size_memo_relabels_letters_above_255():
 
 
 def test_capped_search_holds_each_class_as_one_word_and_key():
-    """The class search stores a found class as its bytes word and key, and
-    an expanded class keeps no root indices: the search of w0(A9), cut at
-    20,000 classes, peaks under 15 MiB of traced Python memory."""
+    """The pass stores a class of a prefix as its bytes word and size, and
+    the counting walk stops it once a layer holds more classes than the cap:
+    the pass over w0(A9), cut at 20,000 classes, peaks under 15 MiB of
+    traced Python memory."""
     w = perm_to_element(tuple(range(10, 0, -1)))
     tracemalloc.start()
     try:
@@ -386,8 +500,9 @@ def test_capped_search_holds_each_class_as_one_word_and_key():
 
 
 def test_wide_heap_exits_on_the_cap(capsys):
-    perm = ",".join(str(v) for v in antichain(12))
-    assert main(["analyze", "--perm", perm, "--max-words", "100"]) == EXIT_CAP
+    star_spec = ",".join(f"1-{t}" for t in range(2, 14))
+    word = ",".join(map(str, range(1, 14)))
+    assert main(["analyze", "-g", star_spec, "-w", word, "--max-words", "100"]) == EXIT_CAP
     captured = capsys.readouterr()
     assert "more than 100 down-sets of one size in a class heap" in captured.err
     assert captured.out == ""

@@ -375,6 +375,18 @@ def test_nothing_is_printed_before_a_cap_exit(capsys, argv, message):
     assert message in err
 
 
+def test_out_of_memory_exits_on_the_cap_code(capsys, monkeypatch):
+    """Running out of memory is a cap the machine set: exit 3 with one line
+    on stderr, no traceback and nothing on stdout."""
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "commutation_graph", exhausted)
+    code, out, err = run(capsys, "analyze", "--perm", "4321")
+    assert (code, out, err) == (EXIT_CAP, "", "error: out of memory\n")
+
+
 def test_cap_exit_with_partial_count(capsys):
     code, _, err = run(capsys, "analyze", "-g", "A3", "-w", "1 2 1 3 2 1", "--max-words", "5")
     assert code == EXIT_CAP

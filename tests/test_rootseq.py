@@ -267,6 +267,28 @@ def test_commutation_equivalent_basics():
     assert commutation_equivalent(seq, apply_short_move(seq, 0))
 
 
+@pytest.mark.parametrize(
+    "spec, word",
+    [
+        ("D4", GOLDEN_D4_WORD),
+        ("D4", (2, 1, 3, 4, 2, 1, 3, 4)),
+        ("D4", (1, 2, 3, 1, 4, 2, 1)),
+        ("1-2,2-3,1-3", (1, 2, 3, 1, 2, 3, 2)),
+        ("1-2,2-3,1-3", (1, 2, 1, 3, 2, 1, 3)),
+        ("1-2,2-3,1-3", (1, 2, 1, 3, 1, 2, 1, 3)),
+    ],
+)
+def test_commutation_equivalent_is_heap_order_equality(spec, word):
+    """On every pair of root sequences of a few D4 and affine A~2 elements,
+    the pairwise order check agrees with equal heap-order closures."""
+    g = parse_graph(spec)
+    seqs = [root_sequence(g, u) for u in enumerate_reduced_words(element_of(g, word))]
+    orders = [heap_order(r) for r in seqs]
+    for r1, o1 in zip(seqs, orders):
+        for r2, o2 in zip(seqs, orders):
+            assert commutation_equivalent(r1, r2) == (o1 == o2)
+
+
 def test_commutation_equivalent_rejects_mismatch():
     with pytest.raises(ValueError):
         commutation_equivalent(A2_SEQ, root_sequence(A2, (1, 2)))
