@@ -80,6 +80,7 @@ from .coxeter import (
     Word,
     _calculus,
     _identity,
+    _step,
     canonical_word,
     format_word,
 )
@@ -197,13 +198,12 @@ def _induced(g: CoxeterGraph, support: Word) -> tuple[CoxeterGraph, tuple[int, .
     return sub, near, tuple(parts)
 
 
-def _capped_walk(sub: CoxeterGraph, start: list, zero, letters: list[int], near: tuple[int, ...],
+def _capped_walk(sub: CoxeterGraph, start: list, letters: list[int], near: tuple[int, ...],
                  length: int, cap: int) -> None:
     """Raise the class error if a partial count of the lex-least words of u,
     of ``length`` and whose inverse has columns ``start``, passes ``cap``.
     A state is v and the letters that may not come next: appending c adds
     the letters below c and drops those equal or adjacent to c."""
-    step = _calculus(sub)[2]
     memo: dict = {}
 
     def count(cols: list, left: int, blocked: int) -> int:
@@ -214,9 +214,9 @@ def _capped_walk(sub: CoxeterGraph, start: list, zero, letters: list[int], near:
             return memo.get(state, 0)
         total = 0
         for s in letters:
-            if not blocked >> s & 1 and cols[s] < zero:
+            if not blocked >> s & 1 and cols[s] < 0:
                 moved = cols[:]
-                step(sub, moved, s + 1)
+                _step(sub, moved, s + 1)
                 total += count(moved, left - 1, (blocked | (1 << s) - 1) & ~near[s])
                 if total > cap:
                     raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
@@ -227,14 +227,13 @@ def _capped_walk(sub: CoxeterGraph, start: list, zero, letters: list[int], near:
     del count  # count's closure holds count: break the cycle, so the memo goes on return
 
 
-def _pass(sub: CoxeterGraph, start: list, zero, bit: dict, word: bytes, near: tuple[int, ...],
+def _pass(sub: CoxeterGraph, start: list, bit: dict, word: bytes, near: tuple[int, ...],
           cap: int) -> tuple[dict[bytes, int], set]:
     """The classes of the factor u that ``word`` spells, lex-least word to
     size, and the column pairs of its contractible triples' summands.  A
     layer maps the placed-root bitmask of each v, from u^-1 (``start`` on
     u's letters), to v's columns and classes; ``bit`` maps a piece's column
     to its root's bit."""
-    step = _calculus(sub)[2]
     letters = sorted(set(word))
     above = {s: [t - 1 for t in sub.neighbors[s] if t - 1 > s] for s in letters}
     pieces = {s: bytes((s,)) for s in letters}
@@ -249,16 +248,16 @@ def _pass(sub: CoxeterGraph, start: list, zero, bit: dict, word: bytes, near: tu
         for mask, (cols, classes) in layer.items():
             for s in letters:
                 c = cols[s]
-                if not c < zero:
+                if not c < 0:
                     continue
                 for t in above[s]:
-                    if cols[t] < zero:
+                    if cols[t] < 0:
                         pairs.add((c, cols[t]))
                 to = mask | bit[c]
                 entry = grown.get(to)
                 if entry is None:
                     moved = cols[:]
-                    step(sub, moved, s + 1)
+                    _step(sub, moved, s + 1)
                     entry = grown[to] = moved, {}
                 into = entry[1]
                 total -= len(into)
@@ -270,7 +269,7 @@ def _pass(sub: CoxeterGraph, start: list, zero, bit: dict, word: bytes, near: tu
                 total += len(into)
             if total > cap and not walked:
                 walked = True
-                _capped_walk(sub, start, zero, letters, near, len(word), cap)
+                _capped_walk(sub, start, letters, near, len(word), cap)
             if len(grown) > cap:
                 raise CapExceededError(
                     f"more than {cap} down-sets of one size in a class heap", count=cap + 1
@@ -300,14 +299,13 @@ class _Engine:
         letter = {s: i for i, s in enumerate(support)}
         sub, near, components = _induced(g, support)
         word = bytes([letter[s] for s in least])
-        encode, decode, step, _ = _calculus(sub)
+        encode, decode = _calculus(sub)
         start, bit = encode([_identity(g.n)[s - 1] for s in support]), {}
         for i in range(len(word) - 1, -1, -1):  # start runs to w^-1, its column of word[i] to -root i
-            step(sub, start, word[i] + 1)
+            _step(sub, start, word[i] + 1)
             bit[start[word[i]]] = 1 << i
-        zero = encode([(0,) * g.n])[0]
         factors = [bytes([s for s in word if part >> s & 1]) for part in components]
-        parts = [_pass(sub, start, zero, bit, u, near, cap) for u in factors]
+        parts = [_pass(sub, start, bit, u, near, cap) for u in factors]
         if prod(len(classes) for classes, _ in parts) > cap:
             raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
         if len(parts) == 1:
@@ -318,7 +316,7 @@ class _Engine:
                           for combo in product(*[classes.items() for classes, _ in parts]))
         ends = {}
         for pair in set().union(*[pairs for _, pairs in parts]):
-            roots = [tuple([-x for x in r]) for r in decode(pair, g.n)]
+            roots = decode([-c for c in pair], g.n)
             (low, lo), (high, hi) = sorted(zip(roots, pair))
             ends[InversionTriple(low, tuple([a + b for a, b in zip(low, high)]), high)] = lo, hi
         self.labels = tuple(sorted(ends))
@@ -331,7 +329,7 @@ class _Engine:
             cols, pos = start[:], {}
             for i, s in enumerate(x if spans else b""):
                 pos[cols[s]] = i
-                step(sub, cols, s + 1)
+                _step(sub, cols, s + 1)
             self.classes[x] = sum(1 << j for j, (lo, hi) in spans if pos[hi] > pos[lo])
 
     def mask(self, precedence: Precedence) -> int:

@@ -43,10 +43,11 @@ from .classes import (
     to_dot,
 )
 from .oracle import (
-    oracle_classes_by_bfs,
+    oracle_classes,
     oracle_commutation_edges,
     oracle_contractible_triples,
     oracle_reduced_words,
+    oracle_root_sequence,
 )
 from .triples import contractible_triples, inversion_triples, is_freely_braided
 from .rootseq import root_sequence
@@ -184,10 +185,10 @@ def cmd_reduce(args) -> int:
 
 def _verify(w: Element, cap: int) -> None:
     produced = set(enumerate_reduced_words(w, cap))
-    expected = set(oracle_reduced_words(w, cap))
-    if produced != expected:
+    expected = oracle_reduced_words(w, cap)
+    if produced != set(expected):
         raise VerificationError("reduced-word enumeration disagrees with descent oracle")
-    blocks = oracle_classes_by_bfs(w, cap)
+    blocks = oracle_classes(w.graph, (oracle_root_sequence(w.graph, word).roots for word in expected))
     rank = {block: i for i, block in enumerate(class_partition(w, cap))}
     if rank.keys() != set(blocks):
         raise VerificationError("class partition disagrees with BFS oracle")

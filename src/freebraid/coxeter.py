@@ -14,13 +14,15 @@ in the columns of s and its neighbours only (``_step``).  Lengths come from
 the descent test l(ws) > l(w) exactly when w(a_s) is a positive root
 (Bjorner-Brenti, Combinatorics of Coxeter Groups, 4.4).
 
-On a graph of finite type the word-calculus loops pack each column into
-one int, the sum of c_i * 2^(4i) (``_calculus``).  Packing is linear, so a
-column step is one int addition per neighbour and one negation.  A root's
-coefficients share one sign, so its packed int has the root's sign, and a
-descent test is a sign test.  Four bits decode exactly, as coefficients
-are at most 6 (the highest root of E8).  Elsewhere coefficients are
-unbounded, and the loops step the root tuples themselves.  Results are
+The word-calculus loops run one ``_step`` and one descent test on columns
+held in one of two encodings (``_calculus``).  On a graph of finite type
+each column is packed into one int, the sum of c_i * 2^(4i).  Packing is
+linear, so a column step is one int addition per neighbour and one
+negation.  A root's coefficients share one sign, so its packed int has the
+root's sign, and a descent test is the sign test c < 0.  Four bits decode
+exactly, as coefficients are at most 6 (the highest root of E8).  Elsewhere
+coefficients are unbounded, and a column is a ``_Vector``: a tuple that
+adds, negates and compares with 0 as a packed int does.  Results are plain
 tuples either way; ``reflect``, ``reflection_matrix`` and ``mat_mul`` stay
 the tuple definitions that tests compare against.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from operator import add, neg
+from operator import add, neg, sub
 from typing import NamedTuple
 
 __all__ = [
@@ -323,25 +325,27 @@ def _is_finite_type(g: CoxeterGraph) -> bool:
     return not any(degree)
 
 
-def _step(g: CoxeterGraph, cols: list[Root], s: int) -> bool:
-    """Replace the columns of w by those of w*s; True iff s was an ascent of w.
+class _Vector(tuple):
+    """A root off finite type, as a column: it adds, subtracts and negates
+    coefficient by coefficient and, as a root's coefficients share one sign,
+    compares with 0 by its sign, all as a packed int does."""
 
-    w*s sends a_s to -w(a_s) and each neighbour a_t of s to w(a_t) + w(a_s),
-    and leaves the other columns alone.  The length goes up exactly when
-    w(a_s) is positive.
-    """
-    c = cols[s - 1]
-    for t in g.neighbors[s - 1]:
-        cols[t - 1] = tuple(map(add, cols[t - 1], c))
-    cols[s - 1] = tuple(map(neg, c))
-    return max(c) > 0
+    __slots__ = ()
 
+    def __add__(self, other: Root) -> _Vector:
+        return _Vector(map(add, self, other))
 
-def _least_descent(cols: list[Root]) -> int:
-    for s, c in enumerate(cols, 1):
-        if max(c) <= 0:
-            return s
-    raise ValueError("columns are not those of a Coxeter group element")
+    def __sub__(self, other: Root) -> _Vector:
+        return _Vector(map(sub, self, other))
+
+    def __neg__(self) -> _Vector:
+        return _Vector(map(neg, self))
+
+    def __lt__(self, zero: int) -> bool:
+        return min(self) < zero
+
+    def __gt__(self, zero: int) -> bool:
+        return max(self) > zero
 
 
 @lru_cache(maxsize=4096)
@@ -359,8 +363,25 @@ def _unpack(p: int, n: int) -> Root:
     return tuple(out)
 
 
-def _step_packed(g: CoxeterGraph, cols: list[int], s: int) -> bool:
-    """``_step`` on packed columns: one int addition per neighbour."""
+# How the word-calculus loops hold columns, as the functions (encode,
+# decode): packed ints on a graph of finite type, ``_Vector``s elsewhere
+# (``_calculus``).  The loops use only +, - and sign tests on a column, so
+# their results are the same tuples either way.
+_PACKED = (lambda roots: [_pack(r) for r in roots], lambda cols, n: tuple(_unpack(p, n) for p in cols))
+_VECTORS = (lambda roots: list(map(_Vector, roots)), lambda cols, n: tuple(map(tuple, cols)))
+
+
+def _calculus(g: CoxeterGraph):
+    return _PACKED if _is_finite_type(g) else _VECTORS
+
+
+def _step(g: CoxeterGraph, cols: list, s: int) -> bool:
+    """Replace the columns of w by those of w*s; True iff s was an ascent of w.
+
+    w*s sends a_s to -w(a_s) and each neighbour a_t of s to w(a_t) + w(a_s),
+    and leaves the other columns alone: one addition per neighbour and one
+    negation.  The length goes up exactly when w(a_s) is positive.
+    """
     c = cols[s - 1]
     for t in g.neighbors[s - 1]:
         cols[t - 1] += c
@@ -368,28 +389,11 @@ def _step_packed(g: CoxeterGraph, cols: list[int], s: int) -> bool:
     return c > 0
 
 
-def _least_descent_packed(cols: list[int]) -> int:
+def _least_descent(cols: list) -> int:
     for s, c in enumerate(cols, 1):
         if c < 0:
             return s
     raise ValueError("columns are not those of a Coxeter group element")
-
-
-# How the word-calculus loops hold columns, as the functions (encode,
-# decode, step, least_descent): packed on a graph of finite type, the root
-# tuples themselves elsewhere (``_calculus``).  The loops never look inside
-# a column, so their results are the same tuples either way.
-_PACKED = (
-    lambda roots: [_pack(r) for r in roots],
-    lambda cols, n: tuple(_unpack(p, n) for p in cols),
-    _step_packed,
-    _least_descent_packed,
-)
-_TUPLES = (list, lambda cols, n: tuple(cols), _step, _least_descent)
-
-
-def _calculus(g: CoxeterGraph):
-    return _PACKED if _is_finite_type(g) else _TUPLES
 
 
 def identity_element(g: CoxeterGraph) -> Element:
@@ -403,11 +407,11 @@ def element_of(g: CoxeterGraph, word: Word) -> Element:
     the number of descents met on the way.
     """
     _check_word(g, word)
-    encode, decode, step, _ = _calculus(g)
+    encode, decode = _calculus(g)
     cols = encode(_identity(g.n))
     length = 0
     for s in word:
-        length += 1 if step(g, cols, s) else -1
+        length += 1 if _step(g, cols, s) else -1
     return Element(g, decode(cols, g.n), length)
 
 
@@ -421,9 +425,9 @@ def times_generator(w: Element, s: int) -> Element:
     """Right-multiply by one generator, tracking length exactly."""
     g = w.graph
     _check_letter(g, s)
-    encode, decode, step, _ = _calculus(g)
+    encode, decode = _calculus(g)
     cols = encode(w.columns)
-    up = step(g, cols, s)
+    up = _step(g, cols, s)
     return Element(g, decode(cols, g.n), w.length + (1 if up else -1))
 
 
@@ -434,40 +438,26 @@ def _peel(w: Element) -> tuple[list, list]:
     running inverse s_1 ... s_(i-1), as root_sequence computes it.  Both
     are held as ``_calculus`` encodes them."""
     g = w.graph
-    encode, _, step, least_descent = _calculus(g)
+    encode = _calculus(g)[0]
     cols = encode(w.columns)
     inv = encode(_identity(g.n))
     roots = []
     for _ in range(w.length):
-        s = least_descent(cols)
+        s = _least_descent(cols)
         roots.append(inv[s - 1])
-        step(g, cols, s)
-        step(g, inv, s)
+        _step(g, cols, s)
+        _step(g, inv, s)
     return inv, roots
 
 
-def _inversion_keys(w: Element) -> dict[int, Root]:
-    """The inversion set of w, keyed by ints that add like the roots: the
-    key of a sum of two of its roots is the sum of their keys.  A packed
-    root already is such a key, as a sum of two roots of a finite type has
-    coefficients at most 12 < 2^4; tuples are packed one bit wider than
-    their largest coefficient."""
-    g = w.graph
-    roots = _peel(w)[1]
-    if _is_finite_type(g):
-        return {p: _unpack(p, g.n) for p in roots}
-    k = max((max(r) for r in roots), default=0).bit_length() + 1
-    return {sum(c << (k * i) for i, c in enumerate(r)): r for r in roots}
-
-
 def _positive_roots(g: CoxeterGraph) -> dict[int, Root]:
-    """The positive roots of a graph of finite type, keyed as ``_peel`` and
-    ``_inversion_keys`` key them there.  They are the inversion set of w0:
-    the positive columns met stepping ascents from e until none is left."""
+    """The positive roots of a graph of finite type, keyed by the packed
+    ints that ``_peel`` holds them as there.  They are the inversion set of
+    w0: the positive columns met stepping ascents from e until none is left."""
     cols, root_of = [_pack(r) for r in _identity(g.n)], {}
     while s := next((s for s, c in enumerate(cols, 1) if c > 0), 0):
         root_of[cols[s - 1]] = _unpack(cols[s - 1], g.n)
-        _step_packed(g, cols, s)
+        _step(g, cols, s)
     return root_of
 
 
@@ -483,12 +473,11 @@ def canonical_word(w: Element) -> Word:
     scan is O(n) int compares, for rank n, elsewhere O(n^2).
     """
     g = w.graph
-    _, _, step, least_descent = _calculus(g)
     inv = _peel(w)[0]
     out: list[int] = []
     for _ in range(w.length):
-        s = least_descent(inv)
-        step(g, inv, s)
+        s = _least_descent(inv)
+        _step(g, inv, s)
         out.append(s)
     return tuple(out)
 
@@ -508,11 +497,10 @@ def reduce_word(g: CoxeterGraph, word: Word) -> Word:
     """
     _check_word(g, word)
     simple = _identity(g.n)
-    encode, _, step, _ = _calculus(g)
-    cols = encode(simple)
+    cols = _calculus(g)[0](simple)
     prefix: list[int] = []
     for s in word:
-        if step(g, cols, s):
+        if _step(g, cols, s):
             prefix.append(s)
             continue
         u = simple[s - 1]
@@ -528,9 +516,8 @@ def is_reduced(g: CoxeterGraph, word: Word) -> bool:
     """True iff every letter is an ascent of the prefix before it; stops at
     the first descent."""
     _check_word(g, word)
-    encode, _, step, _ = _calculus(g)
-    cols = encode(_identity(g.n))
-    return all(step(g, cols, s) for s in word)
+    cols = _calculus(g)[0](_identity(g.n))
+    return all(_step(g, cols, s) for s in word)
 
 
 def is_path_forest(g: CoxeterGraph) -> bool:

@@ -36,6 +36,7 @@ __all__ = [
     "oracle_root_sequence",
     "oracle_reduced_words",
     "oracle_all_root_sequences",
+    "oracle_classes",
     "oracle_classes_by_bfs",
     "oracle_commutation_edges",
     "oracle_contractible_triples",
@@ -86,10 +87,12 @@ def oracle_all_root_sequences(w: Element, cap: int | None = None) -> list[RootSe
     return [oracle_root_sequence(w.graph, word) for word in oracle_reduced_words(w, cap)]
 
 
-def oracle_classes_by_bfs(w: Element, cap: int | None = None) -> list[frozenset[tuple[Root, ...]]]:
-    """Partition of the root sequences under adjacent orthogonal swaps."""
-    g = w.graph
-    pool = {tuple(r.roots) for r in oracle_all_root_sequences(w, cap)}
+def oracle_classes(
+    g: CoxeterGraph, sequences: Iterable[tuple[Root, ...]]
+) -> list[frozenset[tuple[Root, ...]]]:
+    """Partition of the given root sequences under adjacent orthogonal swaps,
+    by breadth-first closure; blocks sorted by their least sequence."""
+    pool = set(sequences)
     blocks: list[frozenset[tuple[Root, ...]]] = []
     while pool:
         seed = min(pool)
@@ -108,6 +111,11 @@ def oracle_classes_by_bfs(w: Element, cap: int | None = None) -> list[frozenset[
         blocks.append(frozenset(block))
     blocks.sort(key=min)
     return blocks
+
+
+def oracle_classes_by_bfs(w: Element, cap: int | None = None) -> list[frozenset[tuple[Root, ...]]]:
+    """Partition of the root sequences of w under adjacent orthogonal swaps."""
+    return oracle_classes(w.graph, (r.roots for r in oracle_all_root_sequences(w, cap)))
 
 
 def oracle_commutation_edges(blocks: list[frozenset[tuple[Root, ...]]]) -> frozenset[tuple[int, int]]:

@@ -22,6 +22,7 @@ from .coxeter import (
     _check_word,
     _identity,
     _peel,
+    _step,
     pairing,
 )
 
@@ -101,12 +102,12 @@ def root_sequence(g: CoxeterGraph, word: Word) -> RootSequence:
     is an ascent, i.e. every entry is positive.
     """
     _check_word(g, word)
-    encode, decode, step, _ = _calculus(g)
+    encode, decode = _calculus(g)
     cols = encode(_identity(g.n))
     roots = []
     for s in reversed(word):
         roots.append(cols[s - 1])
-        if not step(g, cols, s):
+        if not _step(g, cols, s):
             raise ValueError("root sequences are defined only for reduced words")
     return RootSequence(g, decode(roots, g.n))
 
@@ -129,7 +130,7 @@ def word_of_root_sequence(r: RootSequence) -> Word:
     or tuple length aliases onto another root's column).
     """
     g = r.graph
-    encode, decode, step, _ = _calculus(g)
+    encode, decode = _calculus(g)
     cols = encode(_identity(g.n))
     entries = encode(map(tuple, r.roots))
     rev: list[int] = []
@@ -139,7 +140,7 @@ def word_of_root_sequence(r: RootSequence) -> Word:
             s = cols.index(root) + 1
         except ValueError:
             raise ValueError("not a valid root sequence: an entry is no image of a simple root") from None
-        ascents &= step(g, cols, s)
+        ascents &= _step(g, cols, s)
         rev.append(s)
     if not ascents or decode(entries, g.n) != r.roots:
         raise ValueError("not a valid root sequence")

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coxeter import (CoxeterGraph, Element, Root, _inversion_keys, _is_finite_type, _peel,
-                      _positive_roots, is_path_forest)
+from .coxeter import (CoxeterGraph, Element, Root, _calculus, _is_finite_type, _peel, _positive_roots,
+                      is_path_forest)
 from .rootseq import (InversionTriple, RootSequence, commutation_equivalent, inversion_set,
                       word_of_root_sequence)
 from .classes import _engine
@@ -38,9 +38,10 @@ __all__ = [
 ]
 
 
-def _sum_pairs(root_of: dict[int, Root]):
+def _sum_pairs(root_of: dict):
     """(a, a + b) for each pair of keys a, b, the root of a lex-before that of
-    b, whose sum is a key: L(L-1)/2 int sums, as the keys add like the roots."""
+    b, whose sum is a key: L(L-1)/2 sums, as packed ints and ``_Vector``s
+    add like the roots they encode."""
     keys = sorted(root_of, key=root_of.__getitem__)
     return ((a, m) for i, a in enumerate(keys) for m in root_of.keys() & map(a.__add__, keys[i + 1:]))
 
@@ -65,16 +66,16 @@ def _triple_table(g: CoxeterGraph) -> dict[int, tuple[tuple[int, int, InversionT
 
 
 def inversion_triples(w: Element) -> frozenset[InversionTriple]:
-    """Every triple {low, low + high, high} inside the inversion set of w: on
-    a graph of finite type of rank at most 8, each inversion root's
-    decompositions read off ``_triple_table`` (at most 1,120 reads, on E8);
-    elsewhere ``_sum_pairs`` over ``coxeter._inversion_keys`` (L(L-1)/2 int
+    """Every triple {low, low + high, high} inside the inversion set of w, as
+    one peel encodes it: on a graph of finite type of rank at most 8, each
+    inversion root's decompositions read off ``_triple_table`` (at most
+    1,120 reads, on E8); elsewhere ``_sum_pairs`` over the peel (L(L-1)/2
     sums for length L)."""
-    g = w.graph
+    g, inv = w.graph, _peel(w)[1]
     if g.n <= _TABLE_MAX_RANK and _is_finite_type(g):
-        table, inv = _triple_table(g), set(_peel(w)[1])
+        table, inv = _triple_table(g), set(inv)
         return frozenset([t for m in inv for a, b, t in table.get(m, ()) if a in inv and b in inv])
-    root_of = _inversion_keys(w)
+    root_of = dict(zip(inv, _calculus(g)[1](inv, g.n)))
     return frozenset(InversionTriple(root_of[a], root_of[m], root_of[m - a]) for a, m in _sum_pairs(root_of))
 
 

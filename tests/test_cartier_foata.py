@@ -23,7 +23,7 @@ from __future__ import annotations
 import pytest
 
 from freebraid import count_classes_and_check_bound, element_of, parse_graph, times_generator
-from freebraid.coxeter import _is_finite_type, _pack, _step_packed
+from freebraid.coxeter import _is_finite_type, _pack, _step
 from conftest import random_elements
 
 
@@ -51,7 +51,7 @@ def cartier_foata_count(w) -> int:
             below = list(cols)
             for s in range(g.n):
                 if step >> s & 1:
-                    _step_packed(g, below, s + 1)
+                    _step(g, below, s + 1)
             below = tuple(below)
             blocked = [closed[s] for s in range(g.n) if step >> s & 1]
             memo[key] = (

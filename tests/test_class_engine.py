@@ -306,11 +306,17 @@ def graph_and_word(draw):
 
 AFFINE_A2 = CoxeterGraph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
 A3_PLUS_A2 = CoxeterGraph(5, frozenset({(1, 2), (2, 3), (4, 5)}))
+# The complete graph K4 is hyperbolic.  This element of length 11, longer
+# than any drawn word, has columns with coefficients up to 24, past what 4
+# bits hold, and 20 classes of one word each, joined by 30 edges, from 9
+# contractible triples that are not pairwise disjoint.
+K4 = CoxeterGraph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
 
 
 @settings(max_examples=300, deadline=None)
 @given(graph_and_word())
 @example((AFFINE_A2, (1, 2, 1, 3, 2, 1, 3)))
+@example((K4, (2, 3, 2, 1, 2, 3, 1, 2, 1, 3, 2)))
 @example((A3_PLUS_A2, (1, 2, 1, 4, 5, 4, 3)))
 @example((CoxeterGraph(5, frozenset({(1, 2), (3, 4)})), (1, 2, 3, 1)))
 def test_engine_matches_oracles_on_random_graphs(case):

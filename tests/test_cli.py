@@ -12,7 +12,7 @@ import pytest
 
 import freebraid.cli as cli
 from freebraid import commutation_graph, enumerate_classes, f_signature
-from freebraid.oracle import oracle_classes_by_bfs
+from freebraid.oracle import oracle_classes
 from freebraid.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
 
@@ -143,8 +143,8 @@ def test_verify_catches_contractibility_mismatch(capsys, monkeypatch):
 
 def test_verify_catches_class_partition_mismatch(capsys, monkeypatch):
     # An oracle that sees every reduced word in one commutation class.
-    merged = lambda w, cap=None: [frozenset().union(*oracle_classes_by_bfs(w, cap))]
-    monkeypatch.setattr(cli, "oracle_classes_by_bfs", merged)
+    merged = lambda g, sequences: [frozenset().union(*oracle_classes(g, sequences))]
+    monkeypatch.setattr(cli, "oracle_classes", merged)
     code, _, err = run(capsys, *GOLDEN_D4)
     assert code == EXIT_VERIFY
     assert "verification failed: class partition disagrees with BFS oracle\n" in err

@@ -5,12 +5,14 @@ canonical_word all step column images one generator at a time.  Here they
 are checked against full matrix products, root sequences built from their
 definition with act, the oracle's descent recursion on matrices, and counts
 of positive roots and A2 subsystems from the literature.  Columns are
-packed at 4 bits a coefficient on graphs of finite type only; the finiteness
-test, the packing, and long words on infinite graphs, whose coefficients
-outgrow 4 bits, are checked on their own.  Inversion triples, looked up in
-a per-graph table of the positive roots' triples on graphs of finite type
-of rank at most 8 and found by a pair scan above it, are checked against a
-brute-force pair scan and the table against counts of A2 subsystems.
+packed at 4 bits a coefficient on graphs of finite type only, and are
+vectors elsewhere; the finiteness test, the packing, and long words on
+infinite graphs, whose coefficients outgrow 4 bits, are checked on their
+own, and both encodings are run on the same finite elements and must
+agree.  Inversion triples, looked up in a per-graph table of the positive
+roots' triples on graphs of finite type of rank at most 8 and found by a
+pair scan above it, are checked against a brute-force pair scan and the
+table against counts of A2 subsystems.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freebraid.classes
+import freebraid.coxeter
+import freebraid.rootseq
+import freebraid.triples
 from freebraid import (
+    CapExceededError,
     canonical_word,
+    commutation_graph,
     element_of,
     identity_element,
     inversion_set,
@@ -38,11 +46,12 @@ from freebraid import (
     times_generator,
     word_of_root_sequence,
 )
-from freebraid.coxeter import _is_finite_type, _pack, _unpack, mat_mul, reflection_matrix
+from freebraid.classes import _built, _engine, _induced
+from freebraid.coxeter import _VECTORS, _Vector, _is_finite_type, _pack, _unpack, mat_mul, reflection_matrix
 from freebraid.oracle import oracle_reduced_words, oracle_root_sequence
 from freebraid.triples import _triple_table
 from freebraid.typea import inversion_triples_1line, perm_to_element
-from conftest import all_positive_roots, group_by_length, random_elements
+from conftest import GOLDEN_D4_WORD, all_positive_roots, group_by_length, random_elements
 
 # Finite, affine (the triangle is A~2), cyclic and disconnected graphs.
 GRAPHS = tuple(
@@ -346,3 +355,85 @@ def test_affine_word_of_ten_thousand_letters_holds_small_roots():
         tracemalloc.stop()
     assert max(c for r in seq.roots for c in r) == 5001
     assert peak < 8 * 2**20
+
+
+def test_vectors_add_negate_and_compare_with_zero_as_packed_ints_do():
+    a, b = _Vector((1, 1, 0)), _Vector((0, 1, 1))
+    assert a + b == (1, 2, 1) and type(a + b) is _Vector
+    assert (a + b) - a == b and type((a + b) - a) is _Vector
+    assert -a == (-1, -1, 0) and type(-a) is _Vector
+    assert a > 0 and not a < 0
+    assert -a < 0 and not -a > 0
+    decode = _VECTORS[1]
+    assert decode([a, -b], 3) == ((1, 1, 0), (0, -1, -1))
+    assert all(type(r) is tuple for r in decode([a, -b], 3))
+
+
+# Elements of finite type that one run holds as packed ints and another as
+# vectors: the golden D4 word (4 classes), an E6 element on all six letters
+# (4 classes of 1,392 words), w0(A5) (908 classes), and an element of D5
+# whose support has two components (8 classes).
+ENCODED = {
+    "D4": ("D4", GOLDEN_D4_WORD),
+    "E6": ("E6", (4, 2, 3, 4, 5, 4, 2, 3, 4, 1, 3, 6, 5)),
+    "w0(A5)": ("A5", (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1)),
+    "D5 split": ("D5", (1, 2, 1, 3, 2, 1, 5)),
+}
+
+
+@pytest.fixture
+def calculus(monkeypatch):
+    """A switch to vector columns on every graph: ``_calculus`` patched in
+    each namespace that reads it, with the engine and subgraph caches
+    cleared on the switch and at the end."""
+
+    def to_vectors():
+        for module in (freebraid.coxeter, freebraid.rootseq, freebraid.classes, freebraid.triples):
+            monkeypatch.setattr(module, "_calculus", lambda g: _VECTORS)
+        _built.cache_clear()
+        _induced.cache_clear()
+
+    yield to_vectors
+    _built.cache_clear()
+    _induced.cache_clear()
+
+
+def calculus_answers(g, word) -> tuple:
+    """The word calculus and the class engine on one element; the triples'
+    table is keyed by packed ints, so inversion_triples is left out."""
+    w = element_of(g, word)
+    least = canonical_word(w)
+    seq = root_sequence(g, least)
+    e = _engine(w)
+    return (w, reduce_word(g, word + word[::-1] + word), least, seq, word_of_root_sequence(seq),
+            inversion_set(w), list(e.classes.items()), e.sizes, e.labels, commutation_graph(w).edges)
+
+
+def class_cap_error(g, word, cap: int) -> tuple[str, int]:
+    with pytest.raises(CapExceededError) as caught:
+        _engine(element_of(g, word), cap)
+    return str(caught.value), caught.value.count
+
+
+@pytest.mark.parametrize("name", sorted(ENCODED))
+def test_packed_and_vector_columns_give_the_same_answers(name, calculus):
+    spec, word = ENCODED[name]
+    g = parse_graph(spec)
+    packed = calculus_answers(g, word)
+    calculus()
+    assert freebraid.coxeter._calculus(g) is _VECTORS
+    assert calculus_answers(g, word) == packed
+
+
+def test_packed_and_vector_columns_trip_the_class_cap_alike(calculus, monkeypatch):
+    """w0(A5) has 908 classes: at cap 500 its pass hands over to the counting
+    walk, which raises on either encoding."""
+    spec, word = ENCODED["w0(A5)"]
+    g = parse_graph(spec)
+    walked, walk = [], freebraid.classes._capped_walk
+    monkeypatch.setattr(freebraid.classes, "_capped_walk", lambda *a: walked.append(type(a[1][0])) or walk(*a))
+    packed = class_cap_error(g, word, 500)
+    assert packed == ("more than 500 commutation classes", 501)
+    calculus()
+    assert class_cap_error(g, word, 500) == packed
+    assert walked == [int, _Vector]
