@@ -25,6 +25,12 @@ coefficients are unbounded, and a column is a ``_Vector``: a tuple that
 adds, negates and compares with 0 as a packed int does.  Results are plain
 tuples either way; ``reflect``, ``reflection_matrix`` and ``mat_mul`` stay
 the tuple definitions that tests compare against.
+
+``_invert`` reads w^-1 and the inversion set of w off the images w(b) of
+the positive roots b.  Up to rank 8 on packed columns these are a per-graph
+tree (``_root_tree``), each root past the simple ones its parent plus one
+simple root, so each image is one int addition, w(parent) + w(a_s), at most
+120 (E8) whatever the length of w.  Elsewhere right descents are peeled.
 """
 
 from __future__ import annotations
@@ -432,11 +438,9 @@ def times_generator(w: Element, s: int) -> Element:
 
 
 def _peel(w: Element) -> tuple[list, list]:
-    """Peel least right descents s_1, s_2, ... off w down to e in 2L column
-    steps.  Returns the columns of w^-1, built alongside, and the root
-    sequence of the word (..., s_2, s_1): entry i is column s_i of the
-    running inverse s_1 ... s_(i-1), as root_sequence computes it.  Both
-    are held as ``_calculus`` encodes them."""
+    """What ``_invert`` returns, by peeling least right descents off w down to
+    e in 2L column steps: w^-1 is built alongside, and its column of each
+    letter peeled is an inversion of w (entry i of the word's root sequence)."""
     g = w.graph
     encode = _calculus(g)[0]
     cols = encode(w.columns)
@@ -450,15 +454,44 @@ def _peel(w: Element) -> tuple[list, list]:
     return inv, roots
 
 
-def _positive_roots(g: CoxeterGraph) -> dict[int, Root]:
-    """The positive roots of a graph of finite type, keyed by the packed
-    ints that ``_peel`` holds them as there.  They are the inversion set of
-    w0: the positive columns met stepping ascents from e until none is left."""
-    cols, root_of = [_pack(r) for r in _identity(g.n)], {}
-    while s := next((s for s, c in enumerate(cols, 1) if c > 0), 0):
-        root_of[cols[s - 1]] = _unpack(cols[s - 1], g.n)
-        _step(g, cols, s)
-    return root_of
+def _on_tree(g: CoxeterGraph) -> bool:
+    """Packed columns up to rank 8: at most 120 positive roots (E8).  That
+    count sets the gate, not the types past rank 8 (E8 and A2 disjoint has
+    123): it grows as the rank squared (A60: 1,830), and a short peel costs less."""
+    return g.n <= 8 and _calculus(g) is _PACKED
+
+
+@lru_cache(maxsize=32)
+def _root_tree(g: CoxeterGraph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The positive roots of a graph of finite type as packed ints, simple ones
+    first, then by height, root n + k grown as parent + a_s by the k-th
+    (parent, s - 1).  As (r, r) = 2 for a root r, b + a_s is one exactly when
+    (b, a_s) = -1, and each b past a simple root is grown so from b - a_s: its
+    coefficients weight the (b, a_s) to (b, b) = 2, so one (b, a_s) is 1."""
+    roots, grown = list(_identity(g.n)), {}
+    for i, b in enumerate(roots):
+        for s, near in enumerate(g.neighbors):
+            c = b[:s] + (b[s] + 1,) + b[s + 1:]
+            if sum(b[t - 1] for t in near) - 2 * b[s] == 1 and c not in grown:
+                grown[c] = i, s
+                roots.append(c)
+    return tuple(map(_pack, roots)), tuple(grown.values())
+
+
+def _invert(w: Element) -> tuple[list, list]:
+    """The columns of w^-1 and the inversion set of w, encoded as ``_calculus``
+    does.  Under ``_on_tree``, w(b) along ``_root_tree``: the inversion set
+    is the b with w(b) < 0, and column s of w^-1 the b with w(b) = a_s, or
+    -b where w(b) = -a_s.  Elsewhere ``_peel``."""
+    g = w.graph
+    if not _on_tree(g):
+        return _peel(w)
+    roots, tree = _root_tree(g)
+    image = [_pack(r) for r in w.columns]
+    for p, s in tree:
+        image.append(image[p] + image[s])
+    root_at = dict(zip(image, roots))
+    return [root_at.get(a) or -root_at[-a] for a in roots[:g.n]], [b for b, c in zip(roots, image) if c < 0]
 
 
 def canonical_word(w: Element) -> Word:
@@ -466,14 +499,14 @@ def canonical_word(w: Element) -> Word:
 
     Greedy: the valid first letters of reduced words are exactly the left
     descents, so taking the smallest one at each step minimizes the word.
-    Left descents of w are right descents of its inverse.  Peeling right
-    descents off w down to e builds the inverse alongside; peeling least
-    right descents off the inverse then spells the word.  Cost: 3L column
-    steps and 2L descent scans, for length L; on a graph of finite type a
-    scan is O(n) int compares, for rank n, elsewhere O(n^2).
+    Left descents of w are right descents of its inverse, which ``_invert``
+    reads off; peeling least right descents off it spells the word.  Cost,
+    for length L and rank n: |Phi+| int additions up to rank 8 (at most 120,
+    E8), else 2L column steps and L descent scans, then L of each; a scan is
+    O(n) int compares on a graph of finite type, elsewhere O(n^2).
     """
     g = w.graph
-    inv = _peel(w)[0]
+    inv = _invert(w)[0]
     out: list[int] = []
     for _ in range(w.length):
         s = _least_descent(inv)

@@ -21,7 +21,7 @@ from .coxeter import (
     _calculus,
     _check_word,
     _identity,
-    _peel,
+    _invert,
     _step,
     pairing,
 )
@@ -113,10 +113,10 @@ def root_sequence(g: CoxeterGraph, word: Word) -> RootSequence:
 
 
 def inversion_set(w: Element) -> frozenset[Root]:
-    """Positive roots sent negative by w: the root sequence of the reduced
-    word that one right-descent peel of w reads off (2L column steps)."""
+    """Positive roots sent negative by w, as ``coxeter._invert`` reads them:
+    |Phi+| int additions up to rank 8 (at most 120, E8), else 2L column steps."""
     decode = _calculus(w.graph)[1]
-    return frozenset(decode(_peel(w)[1], w.graph.n))
+    return frozenset(decode(_invert(w)[1], w.graph.n))
 
 
 def word_of_root_sequence(r: RootSequence) -> Word:

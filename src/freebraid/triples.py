@@ -10,19 +10,19 @@ disjoint, and then each class has a sequence in which every contractible
 triple is a consecutive block where its middle root sat and all other roots
 keep their order.
 
-On a graph of finite type of rank at most 8 an element's triples are looked
-up in a per-graph table of the positive roots' triples: at most 1,120 reads,
-on w0(E8), not a sum per pair of inversion roots.  The table is built once
-per graph, from at most 120 roots (E8).  Elsewhere the pairs of the
-inversion set are scanned, so the cost is set by the element's length, not
-by a positive root system that grows with the rank.
+On a graph of finite type of rank at most 8 an element's triples are read
+off per-graph partner lists, built once from at most 120 positive roots
+(E8): at most 1,120 reads, on w0(E8), not a sum per pair of inversion
+roots.  Elsewhere the pairs of the inversion set are scanned, so the cost
+is set by the element's length, not by a positive root system that grows
+with the rank.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coxeter import (CoxeterGraph, Element, Root, _calculus, _is_finite_type, _peel, _positive_roots,
+from .coxeter import (CoxeterGraph, Element, Root, _calculus, _invert, _on_tree, _root_tree, _unpack,
                       is_path_forest)
 from .rootseq import (InversionTriple, RootSequence, commutation_equivalent, inversion_set,
                       word_of_root_sequence)
@@ -46,35 +46,27 @@ def _sum_pairs(root_of: dict):
     return ((a, m) for i, a in enumerate(keys) for m in root_of.keys() & map(a.__add__, keys[i + 1:]))
 
 
-# A table costs one pair scan of the positive roots per graph.  Up to rank 8
-# there are at most 120 of them (E8, about 4 ms).  The gate rests on that
-# count, not on which types are left above rank 8 (E8 and A2 disjoint has
-# 123 roots): it grows as the rank squared (A60: 1,830), so the scan would
-# outgrow a short element's own.
-_TABLE_MAX_RANK = 8
-
-
 @lru_cache(maxsize=32)
-def _triple_table(g: CoxeterGraph) -> dict[int, tuple[tuple[int, int, InversionTriple], ...]]:
-    """The triples of the positive roots of a graph of finite type, as (low
-    key, high key, triple) under the middle root's key: one ``_sum_pairs``
-    over ``coxeter._positive_roots``."""
-    root_of, table = _positive_roots(g), {}
+def _partners(g: CoxeterGraph) -> dict[int, tuple[tuple[int, InversionTriple], ...]]:
+    """Per positive root a of a graph under ``coxeter._on_tree``, keyed as
+    ``coxeter._root_tree`` packs it, each root b lex-after a whose sum with a
+    is a root, as (b's key, triple): one ``_sum_pairs`` over the tree."""
+    root_of, partners = {p: _unpack(p, g.n) for p in _root_tree(g)[0]}, {}
     for a, m in _sum_pairs(root_of):
-        table.setdefault(m, []).append((a, m - a, InversionTriple(root_of[a], root_of[m], root_of[m - a])))
-    return {m: tuple(entries) for m, entries in table.items()}
+        partners.setdefault(a, []).append((m - a, InversionTriple(root_of[a], root_of[m], root_of[m - a])))
+    return {a: tuple(entries) for a, entries in partners.items()}
 
 
 def inversion_triples(w: Element) -> frozenset[InversionTriple]:
     """Every triple {low, low + high, high} inside the inversion set of w, as
-    one peel encodes it: on a graph of finite type of rank at most 8, each
-    inversion root's decompositions read off ``_triple_table`` (at most
-    1,120 reads, on E8); elsewhere ``_sum_pairs`` over the peel (L(L-1)/2
-    sums for length L)."""
-    g, inv = w.graph, _peel(w)[1]
-    if g.n <= _TABLE_MAX_RANK and _is_finite_type(g):
-        table, inv = _triple_table(g), set(inv)
-        return frozenset([t for m in inv for a, b, t in table.get(m, ()) if a in inv and b in inv])
+    ``coxeter._invert`` encodes it: under ``coxeter._on_tree`` each
+    inversion root's partners that are inversions too (as w(low + high) =
+    w(low) + w(high) < 0), at most 1,120 reads on E8; elsewhere
+    ``_sum_pairs`` over the inversion set (L(L-1)/2 sums for length L)."""
+    g, inv = w.graph, _invert(w)[1]
+    if _on_tree(g):
+        partners, inv = _partners(g), set(inv)
+        return frozenset([t for a in inv for b, t in partners.get(a, ()) if b in inv])
     root_of = dict(zip(inv, _calculus(g)[1](inv, g.n)))
     return frozenset(InversionTriple(root_of[a], root_of[m], root_of[m - a]) for a, m in _sum_pairs(root_of))
 

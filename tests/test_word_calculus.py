@@ -9,16 +9,20 @@ packed at 4 bits a coefficient on graphs of finite type only, and are
 vectors elsewhere; the finiteness test, the packing, and long words on
 infinite graphs, whose coefficients outgrow 4 bits, are checked on their
 own, and both encodings are run on the same finite elements and must
-agree.  Inversion triples, looked up in a per-graph table of the positive
-roots' triples on graphs of finite type of rank at most 8 and found by a
-pair scan above it, are checked against a brute-force pair scan and the
-table against counts of A2 subsystems.
+agree.  Up to rank 8 on packed columns, inverses, inversion sets and
+inversion triples are read off a per-graph tree of the positive roots and
+its partner lists; the tree is checked against root counts and heights from
+the literature, and the tree route against the right-descent peel that
+serves every other graph.  Inversion triples are checked against a
+brute-force pair scan, and the partner lists against counts of A2
+subsystems.
 """
 
 from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
@@ -47,9 +51,10 @@ from freebraid import (
     word_of_root_sequence,
 )
 from freebraid.classes import _built, _engine, _induced
-from freebraid.coxeter import _VECTORS, _Vector, _is_finite_type, _pack, _unpack, mat_mul, reflection_matrix
+from freebraid.coxeter import (_VECTORS, _Vector, _is_finite_type, _pack, _root_tree, _unpack, mat_mul,
+                               reflection_matrix)
 from freebraid.oracle import oracle_reduced_words, oracle_root_sequence
-from freebraid.triples import _triple_table
+from freebraid.triples import _partners
 from freebraid.typea import inversion_triples_1line, perm_to_element
 from conftest import GOLDEN_D4_WORD, all_positive_roots, group_by_length, random_elements
 
@@ -166,7 +171,117 @@ def test_w0_roots_and_triples_match_literature(name):
     assert len(inversion_triples(w0)) == a2_subsystems
 
 
-# --- the table of positive-root triples, on graphs of finite type ---
+# --- the positive-root tree and its partner lists, on graphs of finite type ---
+
+# Every finite type of rank at most 8, with |Phi+| and its Coxeter number h:
+# n(n+1)/2 and n + 1 for A_n, n(n-1) and 2n - 2 for D_n, 36, 63, 120 and
+# 12, 18, 30 for E6-E8.
+TREE_TYPES = {
+    **{f"A{k}": (comb(k + 1, 2), k + 1) for k in range(1, 9)},
+    **{f"D{k}": (k * (k - 1), 2 * k - 2) for k in range(4, 9)},
+    "E6": (36, 12),
+    "E7": (63, 18),
+    "E8": (120, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_TYPES))
+def test_root_tree_matches_the_literature(name):
+    """The tree holds |Phi+| roots by height, each later root its parent plus
+    one simple root.  Each root b is a sum of two positive roots in
+    ht(b) - 1 ways, and as heights are dual to the exponents (Humphreys,
+    Reflection Groups and Coxeter Groups, 3.20) they sum to |Phi+|(h + 1)/3,
+    so w0 has |Phi+|(h - 2)/3 inversion triples: C(n + 1, 3) for A_n, 1,120
+    for E8."""
+    g = parse_graph(name)
+    positive_roots, h = TREE_TYPES[name]
+    packed, tree = _root_tree(g)
+    roots = [_unpack(p, g.n) for p in packed]
+    assert len(roots) == positive_roots and set(roots) == all_positive_roots(g)
+    assert roots[:g.n] == [tuple(int(i == s) for i in range(g.n)) for s in range(g.n)]
+    assert [sum(r) for r in roots] == sorted(sum(r) for r in roots)
+    assert 3 * sum(map(sum, roots)) == positive_roots * (h + 1)
+    for child, (parent, s) in zip(roots[g.n:], tree):
+        assert child == tuple(c + (i == s) for i, c in enumerate(roots[parent]))
+    ways = Counter(t.mid for partners in _partners(g).values() for _, t in partners)
+    assert all(ways[b] == sum(b) - 1 for b in roots)
+    w0 = element_of(g, bipartite_w0_word(g, h))
+    assert w0.length == positive_roots
+    assert len(inversion_triples(w0)) * 3 == positive_roots * (h - 2)
+    if name.startswith("A"):
+        assert len(inversion_triples(w0)) == comb(g.n + 1, 3)
+
+
+@pytest.fixture
+def peel_only(monkeypatch):
+    """A switch to the right-descent peel on every graph: ``_on_tree`` patched
+    off in each namespace that reads it, with the engine cache cleared on the
+    switch and at the end.  It yields the list of elements ``_peel`` is
+    called on."""
+    peeled, peel = [], freebraid.coxeter._peel
+    monkeypatch.setattr(freebraid.coxeter, "_peel", lambda w: peeled.append(w) or peel(w))
+
+    def to_peel():
+        for module in (freebraid.coxeter, freebraid.triples):
+            monkeypatch.setattr(module, "_on_tree", lambda g: False)
+        _built.cache_clear()
+
+    yield to_peel, peeled
+    _built.cache_clear()
+
+
+def _route_elements():
+    """Seeded elements of every finite type of rank at most 8, long and short,
+    of a disconnected graph (A2 and A3) and of D5 labelled with hub 3 and
+    the tail 3-4-2, and the identity of E8."""
+    for seed, name in enumerate(sorted(TREE_TYPES)):
+        g, positive_roots = parse_graph(name), TREE_TYPES[name][0]
+        yield from random_elements(g, 3, positive_roots, seed)
+        yield from random_elements(g, 2, min(8, positive_roots), seed)
+    for spec in ("1-2,3-4,4-5", "5-3,3-1,3-4,4-2"):
+        yield from random_elements(parse_graph(spec), 6, 9, 1)
+    yield identity_element(parse_graph("E8"))
+
+
+def route_answers(elements) -> list:
+    """Canonical words, inversion sets and triples, and on elements of length
+    at most 8 the class engine's classes with their keys, sizes and labels."""
+    out = []
+    for w in elements:
+        out.append((canonical_word(w), inversion_set(w), inversion_triples(w)))
+        if w.length <= 8:
+            e = _engine(w)
+            out.append((list(e.classes.items()), e.sizes, e.labels))
+    return out
+
+
+def test_the_root_tree_and_the_peel_give_the_same_answers(peel_only):
+    to_peel, peeled = peel_only
+    elements = list(_route_elements())
+    assert _is_finite_type(parse_graph("5-3,3-1,3-4,4-2"))
+    assert len(all_positive_roots(parse_graph("5-3,3-1,3-4,4-2"))) == 20
+    on_tree = route_answers(elements)
+    assert peeled == []
+    to_peel()
+    assert route_answers(elements) == on_tree
+    assert len(peeled) >= len(elements)
+
+
+def test_an_e8_op_peels_nothing(peel_only):
+    """One op of the E8 word-calculus benchmark, on w0(E8) with a tail that
+    cancels: reduce, evaluate, canonical word, root-sequence round trip and
+    triples, with no right-descent peel."""
+    _, peeled = peel_only
+    g = parse_graph("E8")
+    word = bipartite_w0_word(g, 30) + (1, 3, 4, 4, 3, 1)
+    reduced = reduce_word(g, word)
+    w = element_of(g, word)
+    assert canonical_word(w) <= reduced
+    assert word_of_root_sequence(root_sequence(g, reduced)) == reduced
+    assert len(inversion_triples(w)) == 1120 and len(inversion_set(w)) == 120
+    assert peeled == []
+
+
 
 
 def brute_force_triples(w):
@@ -196,27 +311,27 @@ def test_inversion_triples_match_a_brute_force_pair_scan():
 
 @pytest.mark.parametrize("name", sorted(LITERATURE))
 def test_triple_table_holds_every_a2_subsystem(name):
-    """Read straight off the table, the triples of Phi+ are its A2
+    """Read straight off the partner lists, the triples of Phi+ are its A2
     subsystems, each a true sum with low lex-before high."""
     g = parse_graph(name)
-    table = _triple_table(g)
-    entries = [(m, a, b, t) for m, decompositions in table.items() for a, b, t in decompositions]
+    entries = [(a, b, t) for a, partners in _partners(g).items() for b, t in partners]
     assert len(entries) == LITERATURE[name][1]
     assert len({t for *_, t in entries}) == len(entries)
-    for m, a, b, t in entries:
-        assert (a, m, b) == (_pack(t.low), _pack(t.mid), _pack(t.high))
+    for a, b, t in entries:
+        assert (a, a + b, b) == (_pack(t.low), _pack(t.mid), _pack(t.high))
         assert t.low < t.high
         assert tuple(x + y for x, y in zip(t.low, t.high)) == t.mid
     assert {r for *_, t in entries for r in t} <= all_positive_roots(g)
 
 
 def test_one_triple_table_is_built_per_graph():
-    _triple_table.cache_clear()
+    _partners.cache_clear()
+    _root_tree.cache_clear()
     e6, d5 = parse_graph("E6"), parse_graph("D5")
     for w in random_elements(e6, 10, 36, 3) + random_elements(d5, 10, 20, 4):
         inversion_triples(w)
     inversion_triples(element_of(parse_graph("E6"), (1, 3, 4)))
-    assert _triple_table.cache_info().misses == 2
+    assert _partners.cache_info().misses == _root_tree.cache_info().misses == 2
 
 
 def test_a_short_element_of_high_rank_costs_what_its_roots_cost():
@@ -224,7 +339,8 @@ def test_a_short_element_of_high_rank_costs_what_its_roots_cost():
     of s1 s2 s1 must be found without building them (a table of them peaks
     at megabytes)."""
     w = element_of(parse_graph("A60"), (1, 2, 1))
-    _triple_table.cache_clear()
+    _partners.cache_clear()
+    _root_tree.cache_clear()
     tracemalloc.start()
     try:
         found = inversion_triples(w)
@@ -232,7 +348,7 @@ def test_a_short_element_of_high_rank_costs_what_its_roots_cost():
     finally:
         tracemalloc.stop()
     assert {tuple(t) for t in found} == brute_force_triples(w) and len(found) == 1
-    assert _triple_table.cache_info().misses == 0
+    assert _partners.cache_info().misses == _root_tree.cache_info().misses == 0
     assert peak < 64 * 1024
 
 
@@ -399,14 +515,15 @@ def calculus(monkeypatch):
 
 
 def calculus_answers(g, word) -> tuple:
-    """The word calculus and the class engine on one element; the triples'
-    table is keyed by packed ints, so inversion_triples is left out."""
+    """The word calculus, inversion triples and the class engine on one
+    element."""
     w = element_of(g, word)
     least = canonical_word(w)
     seq = root_sequence(g, least)
     e = _engine(w)
     return (w, reduce_word(g, word + word[::-1] + word), least, seq, word_of_root_sequence(seq),
-            inversion_set(w), list(e.classes.items()), e.sizes, e.labels, commutation_graph(w).edges)
+            inversion_set(w), inversion_triples(w), list(e.classes.items()), e.sizes, e.labels,
+            commutation_graph(w).edges)
 
 
 def class_cap_error(g, word, cap: int) -> tuple[str, int]:
