@@ -66,7 +66,6 @@ from __future__ import annotations
 import functools
 from collections import deque
 from heapq import merge
-from itertools import product
 from math import factorial, prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -308,12 +307,11 @@ class _Engine:
         parts = [_pass(sub, start, bit, u, near, cap) for u in factors]
         if prod(len(classes) for classes, _ in parts) > cap:
             raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
-        if len(parts) == 1:
-            rows = sorted(parts[0][0].items())
-        else:  # a class is one class per factor, and its words shuffle theirs
-            ways = factorial(len(word)) // prod(factorial(len(u)) for u in factors)
-            rows = sorted((bytes(merge(*[x for x, _ in combo])), ways * prod([k for _, k in combo]))
-                          for combo in product(*[classes.items() for classes, _ in parts]))
+        rows = list(parts[0][0].items()) if parts else [(b"", 1)]
+        for classes, _ in parts[1:]:  # a class is one class per factor, and its words shuffle theirs
+            rows = [(bytes(merge(x, y)), k * m) for x, k in rows for y, m in classes.items()]
+        ways = factorial(len(word)) // prod(factorial(len(u)) for u in factors)
+        rows = sorted((x, ways * k) for x, k in rows)
         ends = {}
         for pair in set().union(*[pairs for _, pairs in parts]):
             roots = decode([-c for c in pair], g.n)
@@ -327,7 +325,7 @@ class _Engine:
         self.classes = {}
         for x, _ in rows:  # a key bit is 1 when x places the triple's high summand after its low one
             cols, pos = start[:], {}
-            for i, s in enumerate(x if spans else b""):
+            for i, s in enumerate(x):
                 pos[cols[s]] = i
                 _step(sub, cols, s + 1)
             self.classes[x] = sum(1 << j for j, (lo, hi) in spans if pos[hi] > pos[lo])

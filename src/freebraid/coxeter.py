@@ -23,8 +23,9 @@ root's sign, and a descent test is the sign test c < 0.  Four bits decode
 exactly, as coefficients are at most 6 (the highest root of E8).  Elsewhere
 coefficients are unbounded, and a column is a ``_Vector``: a tuple that
 adds, negates and compares with 0 as a packed int does.  Results are plain
-tuples either way; ``reflect``, ``reflection_matrix`` and ``mat_mul`` stay
-the tuple definitions that tests compare against.
+tuples either way.  No word operation calls ``reflect`` or ``act``: they,
+``reflection_matrix`` and ``mat_mul`` are the tuple definitions that the
+oracle and the tests compare against.
 
 ``_invert`` reads w^-1 and the inversion set of w off the images w(b) of
 the positive roots b.  Up to rank 8 on packed columns these are a per-graph
@@ -518,29 +519,29 @@ def canonical_word(w: Element) -> Word:
 def reduce_word(g: CoxeterGraph, word: Word) -> Word:
     """Reduced word for the same element, via the exchange condition.
 
-    Letters are folded in left to right over a reduced prefix u, kept as
-    its columns.  A letter s with u(a_s) positive is appended.  Otherwise
-    the exchange condition names the letter to delete: walking back from the
-    end, the first position i at which the letters after i map a_s to the
-    simple root of letter i (for a reduced prefix it is unique).  Either
-    way the prefix's element becomes u*s, one column step.  Cost: one
-    column step per letter (on a graph of finite type a sign test and
-    O(deg) int additions), plus O(L * n) for each deletion's walk back
-    over a prefix of length L.
+    Letters are folded in left to right over a reduced prefix u = s_1...s_k,
+    kept as its columns.  A letter s with u(a_s) positive is appended.
+    Otherwise the exchange condition deletes the one s_i with
+    s_{i+1}...s_k(a_s) = a_{s_i}, that is, with column s_i of
+    v = s_k...s_{i+1} equal to a_s: v starts as the unit columns and steps
+    by s_k, s_{k-1}, ... until that holds.  Either way u becomes u*s, one
+    column step.  Cost: one column step per letter (on a graph of finite
+    type a sign test and O(deg) int additions); a deletion adds a copy of
+    the n unit columns and one column step per letter walked back.
     """
     _check_word(g, word)
-    simple = _identity(g.n)
-    cols = _calculus(g)[0](simple)
+    simple = _calculus(g)[0](_identity(g.n))
+    cols = simple[:]
     prefix: list[int] = []
     for s in word:
         if _step(g, cols, s):
             prefix.append(s)
             continue
-        u = simple[s - 1]
+        v = simple[:]
         for i in range(len(prefix) - 1, -1, -1):
-            if u == simple[prefix[i] - 1]:
+            if v[prefix[i] - 1] == simple[s - 1]:
                 break
-            u = reflect(g, prefix[i], u)
+            _step(g, v, prefix[i])
         del prefix[i]
     return tuple(prefix)
 

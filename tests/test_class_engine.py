@@ -390,19 +390,32 @@ def test_commuting_letters_are_one_class_of_factorial_words(capsys):
     assert elapsed < 1.0, elapsed
 
 
-def test_two_w0_a4_factors_multiply():
+def test_two_w0_a4_factors_multiply(monkeypatch, capsys):
     """w0(A4) on two disjoint paths: the classes are pairs of classes, 62^2
     (Knuth); a class's words shuffle its factors' words, so the sizes sum to
     C(20, 10) * 768^2 (Stanley); and the graph is the Cartesian product of
-    two graphs of 62 vertices and 100 edges, with 2 * 62 * 100 edges."""
-    g = parse_graph("1-2,2-3,3-4,5-6,6-7,7-8")
-    w = element_of(g, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 6, 5, 7, 6, 5, 8, 7, 6, 5))
+    two graphs of 62 vertices and 100 edges, with 2 * 62 * 100 edges.  No
+    pass holds 3,843 classes, so one cap below 62^2 trips on the product,
+    without the counting walk."""
+    spec, word = "1-2,2-3,3-4,5-6,6-7,7-8", (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 6, 5, 7, 6, 5, 8, 7, 6, 5)
+    w = element_of(parse_graph(spec), word)
     classes = enumerate_classes(w)
     assert len(classes) == 62**2
     assert sum(c.size for c in classes) == comb(20, 10) * 768**2 == 108_973_522_944
     assert len(commutation_graph(w).edges) == 2 * 62 * 100
     assert len(contractible_triples(w)) == 2 * 10
     assert classes[0].canonical_word == canonical_word(w)
+
+    calls = count_calls(monkeypatch, (freebraid.classes, "_capped_walk"))
+    with pytest.raises(CapExceededError, match="^more than 3843 commutation classes$") as caught:
+        enumerate_classes(w, cap=3843)
+    assert caught.value.count == 3844
+    assert len(enumerate_classes(w, cap=3844)) == 3844
+    assert main(["analyze", "-g", spec, "-w", " ".join(map(str, word)), "--max-words", "3843"]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.err == "error: more than 3843 commutation classes (partial count: 3844)\n"
+    assert captured.out == ""
+    assert calls == {"_capped_walk": 0}
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+import freebraid.triples
 from freebraid import (
     InversionTriple,
     RootSequence,
@@ -217,6 +218,17 @@ def test_normal_form_every_freely_braided_s4():
                 out = consecutive_normal_form(w, c.canonical)
                 assert heap_order(out) == heap_order(c.canonical)
                 assert all(is_consecutive(out, t) for t in triples)
+
+
+def test_normal_form_is_checked_to_stay_in_its_class(monkeypatch):
+    """The sort is a run of short moves; were its result ever outside the
+    start's class, the final check would raise instead of returning it."""
+    w = perm_to_element(parse_permutation("52143"))
+    assert is_freely_braided(w)
+    start = enumerate_classes(w)[0].canonical
+    monkeypatch.setattr(freebraid.triples, "commutation_equivalent", lambda a, b: False)
+    with pytest.raises(RuntimeError, match="^normal form left the class of its start$"):
+        consecutive_normal_form(w, start)
 
 
 def test_normal_form_rejects_non_freely_braided():

@@ -15,7 +15,9 @@ its partner lists; the tree is checked against root counts and heights from
 the literature, and the tree route against the right-descent peel that
 serves every other graph.  Inversion triples are checked against a
 brute-force pair scan, and the partner lists against counts of A2
-subsystems.
+subsystems.  reduce_word's column walk is checked to delete the letter the
+exchange condition's walk on tuple roots deletes, and no word operation may
+call reflect or act.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from freebraid import (
     is_right_descent,
     parse_graph,
     reduce_word,
+    reflect,
     root_sequence,
+    simple_root,
     times_generator,
     word_of_root_sequence,
 )
@@ -483,6 +487,81 @@ def test_vectors_add_negate_and_compare_with_zero_as_packed_ints_do():
     decode = _VECTORS[1]
     assert decode([a, -b], 3) == ((1, 1, 0), (0, -1, -1))
     assert all(type(r) is tuple for r in decode([a, -b], 3))
+
+
+# Finite types up to rank 8 (the root tree) and past it (the peel); affine,
+# hyperbolic and disconnected graphs; D5 labelled out of order.
+EXCHANGE_GRAPHS = ("A1", "A5", "D4", "D6", "E6", "E7", "E8", "A12", "D10", "1-2,2-3,1-3", "1-2,2-3,3-4,1-4",
+                   "1-2,1-3,1-4,2-3,2-4,3-4", "1-2,2-3,3-4,4-5,3-6,6-7", "1-2,3-4,4-5", "5-3,3-1,3-4,4-2",
+                   ",".join(f"{i}-{i % 16 + 1}" for i in range(1, 17)))
+
+
+def tuple_exchange_walk(g, word):
+    """reduce_word as the exchange condition states it, on tuple roots: at a
+    descent s of the prefix s_1...s_k, u = a_s is reflected back by s_k,
+    s_{k-1}, ... and the first s_i with u = a_{s_i} is deleted."""
+    w, prefix = identity_element(g), []
+    for s in word:
+        if is_right_descent(w, s):
+            u = simple_root(g, s)
+            for i in range(len(prefix) - 1, -1, -1):
+                if u == simple_root(g, prefix[i]):
+                    break
+                u = reflect(g, prefix[i], u)
+            del prefix[i]
+        else:
+            prefix.append(s)
+        w = times_generator(w, s)
+    return tuple(prefix)
+
+
+def cancelling_words(g, rng: random.Random, count: int, max_length: int):
+    """Random words, then words with a tail u + reversed(u), then w + reversed(w)."""
+    for _ in range(count):
+        w = tuple(rng.choice(g.generators()) for _ in range(rng.randint(0, max_length)))
+        u = tuple(rng.choice(g.generators()) for _ in range(rng.randint(1, 8)))
+        yield w
+        yield w + u + u[::-1]
+        yield w + w[::-1]
+
+
+@pytest.mark.parametrize("spec", EXCHANGE_GRAPHS)
+def test_reduce_word_deletes_the_letter_of_the_tuple_exchange_walk(spec):
+    """The column walk deletes the letter that the tuple walk deletes, so the
+    reduced words agree letter for letter; on K4 and the 16-cycle the power
+    of a Coxeter element carries coefficients past 4 bits."""
+    g = parse_graph(spec)
+    rng = random.Random(spec)
+    for word in cancelling_words(g, rng, 40, 40):
+        assert reduce_word(g, word) == tuple_exchange_walk(g, word), word
+    power = tuple(g.generators()) * (17 if g.n > 4 else 10)
+    assert reduce_word(g, power + power[::-1]) == tuple_exchange_walk(g, power + power[::-1]) == ()
+    assert reduce_word(g, power) == tuple_exchange_walk(g, power)
+    if spec in ("1-2,1-3,1-4,2-3,2-4,3-4", EXCHANGE_GRAPHS[-1]):
+        assert max(c for r in inversion_set(element_of(g, power)) for c in r) > 15
+
+
+def test_no_word_operation_reflects_a_tuple_root(monkeypatch):
+    """reflect and act are definitions for the oracle and the tests: the word
+    operations run on columns alone, on the root tree (E8), the peel above
+    rank 8 (A12) and vector columns (K4)."""
+
+    def refuse(*args):
+        raise AssertionError("a word operation reflected a tuple root")
+
+    monkeypatch.setattr(freebraid.coxeter, "reflect", refuse)
+    monkeypatch.setattr(freebraid.coxeter, "act", refuse)
+    for spec in ("E8", "A12", "1-2,1-3,1-4,2-3,2-4,3-4"):
+        g = parse_graph(spec)
+        for word in cancelling_words(g, random.Random(spec), 5, 30):
+            reduced = reduce_word(g, word)
+            w = element_of(g, word)
+            assert is_reduced(g, reduced) and element_of(g, reduced) == w
+            least = canonical_word(w)
+            seq = root_sequence(g, least)
+            assert word_of_root_sequence(seq) == least
+            assert inversion_set(w) == frozenset(seq.roots)
+            assert all({t.low, t.mid, t.high} <= frozenset(seq.roots) for t in inversion_triples(w))
 
 
 # Elements of finite type that one run holds as packed ints and another as
