@@ -1,8 +1,9 @@
 """Root-sequence calculus for simply laced Coxeter groups.
 
-Reduced words, root sequences and their braid moves, commutation classes
-and their signatures, inversion triples and the freely braided predicate,
-with brute-force oracles for differential testing and an `fb` CLI.
+Reduced words, root sequences, commutation classes and their signatures,
+inversion triples and the freely braided predicate, with brute-force
+oracles and the braid moves' definitions in `freebraid.oracle` for
+differential testing, and an `fb` CLI.
 """
 
 from .coxeter import (
@@ -33,16 +34,10 @@ from .coxeter import (
     times_generator,
 )
 from .rootseq import (
-    HeapOrder,
     RootSequence,
-    apply_long_move,
-    apply_short_move,
     commutation_equivalent,
-    heap_order,
     inversion_set,
-    long_moves,
     root_sequence,
-    short_moves,
     word_of_root_sequence,
 )
 from .classes import (

@@ -194,7 +194,7 @@ def _verify(w: Element, cap: int) -> None:
         raise VerificationError("class partition disagrees with BFS oracle")
     at = [rank[block] for block in blocks]
     del rank  # its keys hold every root sequence a second time
-    edges = {tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(blocks)}
+    edges = {tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(w.graph, blocks)}
     if edges != commutation_graph(w, cap).edges:
         raise VerificationError("commutation graph edges disagree with the braid-move oracle")
     size = dict(zip(at, map(len, blocks)))

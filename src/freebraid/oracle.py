@@ -1,14 +1,16 @@
-"""Naive reference implementations for differential testing.
+"""Naive reference implementations for differential testing, and the
+braid moves' definitions.
 
 Everything here is deliberately brute force and kept independent of the
 production algorithms: reduced words come from descent recursion on full
 matrices (``mat_mul`` by ``reflection_matrix``) instead of column steps and
-the class engine, root sequences from their definition with ``act``,
-commutation classes from literal breadth-first closure under adjacent
-orthogonal swaps instead of heap-order keying, contractibility from one
-scan of every root sequence for its windows of three consecutive roots, and
-commutation graph edges from those windows reversed instead of class keys.
-Tests and the CLI --verify mode diff these against production.
+the class engine, root sequences from their definition with ``act``, and
+contractibility from one scan of every root sequence for its windows of
+three consecutive roots.  Commutation classes and commutation graph edges
+come from this module's own move definitions, not heap-order or class keys:
+classes are the breadth-first closure under ``short_moves``, and edges join
+the blocks that one of ``long_moves`` connects.  Tests and the CLI --verify
+mode diff these against production.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .coxeter import (
 from .rootseq import RootSequence
 
 __all__ = [
+    "short_moves",
+    "long_moves",
+    "apply_short_move",
+    "apply_long_move",
     "oracle_root_sequence",
     "oracle_reduced_words",
     "oracle_all_root_sequences",
@@ -42,6 +48,37 @@ __all__ = [
     "oracle_contractible_triples",
     "oracle_contractible",
 ]
+
+
+def short_moves(r: RootSequence) -> list[int]:
+    """0-based positions k where entries k and k+1 are orthogonal."""
+    roots = r.roots
+    return [k for k in range(len(roots) - 1) if pairing(r.graph, roots[k], roots[k + 1]) == 0]
+
+
+def long_moves(r: RootSequence) -> list[int]:
+    """0-based positions k where entry k+1 is the sum of entries k and k+2."""
+    roots = r.roots
+    return [
+        k
+        for k in range(len(roots) - 2)
+        if tuple(x + y for x, y in zip(roots[k], roots[k + 2])) == roots[k + 1]
+    ]
+
+
+def apply_short_move(r: RootSequence, k: int) -> RootSequence:
+    roots = r.roots
+    if not (0 <= k < len(roots) - 1) or pairing(r.graph, roots[k], roots[k + 1]) != 0:
+        raise ValueError(f"no short braid move at position {k}")
+    return RootSequence(r.graph, roots[:k] + (roots[k + 1], roots[k]) + roots[k + 2:])
+
+
+def apply_long_move(r: RootSequence, k: int) -> RootSequence:
+    roots = r.roots
+    ok = 0 <= k < len(roots) - 2 and tuple(x + y for x, y in zip(roots[k], roots[k + 2])) == roots[k + 1]
+    if not ok:
+        raise ValueError(f"no long braid move at position {k}")
+    return RootSequence(r.graph, roots[:k] + (roots[k + 2], roots[k + 1], roots[k]) + roots[k + 3:])
 
 
 def oracle_root_sequence(g: CoxeterGraph, word: Word) -> RootSequence:
@@ -100,14 +137,13 @@ def oracle_classes(
         block = {seed}
         queue = deque([seed])
         while queue:
-            cur = queue.popleft()
-            for k in range(len(cur) - 1):
-                if pairing(g, cur[k], cur[k + 1]) == 0:
-                    nxt = cur[:k] + (cur[k + 1], cur[k]) + cur[k + 2:]
-                    if nxt in pool:
-                        pool.discard(nxt)
-                        block.add(nxt)
-                        queue.append(nxt)
+            cur = RootSequence(g, queue.popleft())
+            for k in short_moves(cur):
+                nxt = apply_short_move(cur, k).roots
+                if nxt in pool:
+                    pool.discard(nxt)
+                    block.add(nxt)
+                    queue.append(nxt)
         blocks.append(frozenset(block))
     blocks.sort(key=min)
     return blocks
@@ -118,18 +154,19 @@ def oracle_classes_by_bfs(w: Element, cap: int | None = None) -> list[frozenset[
     return oracle_classes(w.graph, (r.roots for r in oracle_all_root_sequences(w, cap)))
 
 
-def oracle_commutation_edges(blocks: list[frozenset[tuple[Root, ...]]]) -> frozenset[tuple[int, int]]:
+def oracle_commutation_edges(
+    g: CoxeterGraph, blocks: list[frozenset[tuple[Root, ...]]]
+) -> frozenset[tuple[int, int]]:
     """Pairs (i, j), i < j, of the blocks of oracle_classes_by_bfs joined by
     one long braid move: a window of three roots whose middle is the sum of
     the outer two, reversed, turns a sequence of block i into one of block j."""
     block_of = {seq: i for i, block in enumerate(blocks) for seq in block}
     edges = set()
     for seq, i in block_of.items():
-        for k in range(len(seq) - 2):
-            a, m, b = seq[k:k + 3]
-            if all(x + y == z for x, y, z in zip(a, b, m)):
-                j = block_of[seq[:k] + (b, m, a) + seq[k + 3:]]
-                edges.add((min(i, j), max(i, j)))
+        r = RootSequence(g, seq)
+        for k in long_moves(r):
+            j = block_of[apply_long_move(r, k).roots]
+            edges.add((min(i, j), max(i, j)))
     return frozenset(edges)
 
 

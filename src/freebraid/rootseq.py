@@ -1,4 +1,4 @@
-"""Root sequences of reduced words and the braid moves acting on them.
+"""Root sequences of reduced words.
 
 A reduced word (s_1, ..., s_n) linearizes the inversion set of its element:
 entry i of the root sequence is the positive root turned negative by the
@@ -28,15 +28,9 @@ from .coxeter import (
 
 __all__ = [
     "RootSequence",
-    "HeapOrder",
     "root_sequence",
     "inversion_set",
     "word_of_root_sequence",
-    "heap_order",
-    "short_moves",
-    "long_moves",
-    "apply_short_move",
-    "apply_long_move",
     "commutation_equivalent",
 ]
 
@@ -76,19 +70,6 @@ class InversionTriple(NamedTuple):
     low: Root
     mid: Root
     high: Root
-
-
-class HeapOrder(NamedTuple):
-    """Partial order on the roots of one sequence, stored as its closure.
-
-    ``relation`` holds ordered pairs (a, b) meaning a precedes b.  It is the
-    transitive closure of {(r_i, r_j) : i < j, r_i not orthogonal to r_j},
-    carried on the roots themselves so sequences of the same element compare
-    directly.
-    """
-
-    size: int
-    relation: frozenset[tuple[Root, Root]]
 
 
 def root_sequence(g: CoxeterGraph, word: Word) -> RootSequence:
@@ -145,62 +126,6 @@ def word_of_root_sequence(r: RootSequence) -> Word:
     if not ascents or decode(entries, g.n) != r.roots:
         raise ValueError("not a valid root sequence")
     return tuple(reversed(rev))
-
-
-def _closure_masks(g: CoxeterGraph, roots: tuple[Root, ...]) -> list[int]:
-    """successors[i] = bitmask of positions reachable from i in the heap order."""
-    n = len(roots)
-    succ = [0] * n
-    for i in range(n - 2, -1, -1):
-        m = 0
-        for j in range(i + 1, n):
-            if pairing(g, roots[i], roots[j]) != 0:
-                m |= (1 << j) | succ[j]
-        succ[i] = m
-    return succ
-
-
-def heap_order(r: RootSequence) -> HeapOrder:
-    roots = r.roots
-    succ = _closure_masks(r.graph, roots)
-    rel = set()
-    for i, m in enumerate(succ):
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            rel.add((roots[i], roots[j]))
-    return HeapOrder(len(roots), frozenset(rel))
-
-
-def short_moves(r: RootSequence) -> list[int]:
-    """0-based positions k where entries k and k+1 are orthogonal."""
-    roots = r.roots
-    return [k for k in range(len(roots) - 1) if pairing(r.graph, roots[k], roots[k + 1]) == 0]
-
-
-def long_moves(r: RootSequence) -> list[int]:
-    """0-based positions k where entry k+1 is the sum of entries k and k+2."""
-    roots = r.roots
-    return [
-        k
-        for k in range(len(roots) - 2)
-        if tuple(x + y for x, y in zip(roots[k], roots[k + 2])) == roots[k + 1]
-    ]
-
-
-def apply_short_move(r: RootSequence, k: int) -> RootSequence:
-    roots = r.roots
-    if not (0 <= k < len(roots) - 1) or pairing(r.graph, roots[k], roots[k + 1]) != 0:
-        raise ValueError(f"no short braid move at position {k}")
-    return RootSequence(r.graph, roots[:k] + (roots[k + 1], roots[k]) + roots[k + 2:])
-
-
-def apply_long_move(r: RootSequence, k: int) -> RootSequence:
-    roots = r.roots
-    ok = 0 <= k < len(roots) - 2 and tuple(x + y for x, y in zip(roots[k], roots[k + 2])) == roots[k + 1]
-    if not ok:
-        raise ValueError(f"no long braid move at position {k}")
-    return RootSequence(r.graph, roots[:k] + (roots[k + 2], roots[k + 1], roots[k]) + roots[k + 3:])
 
 
 def commutation_equivalent(r1: RootSequence, r2: RootSequence) -> bool:

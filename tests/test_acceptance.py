@@ -25,7 +25,6 @@ from freebraid import (
     enumerate_classes,
     enumerate_reduced_words,
     f_signature,
-    heap_order,
     identity_element,
     inversion_set,
     inversion_triples,
@@ -173,9 +172,10 @@ def test_acceptance_08_normal_form_freely_braided_s5():
                 continue
             w = perm_to_element(p)
             triples = contractible_triples(w)
+            block_of = {seq: i for i, b in enumerate(oracle_classes_by_bfs(w)) for seq in b}
             for c in enumerate_classes(w):
                 out = consecutive_normal_form(w, c.canonical)
-                assert heap_order(out) == heap_order(c.canonical)
+                assert block_of[out.roots] == block_of[c.canonical.roots]
                 pos = {r: i for i, r in enumerate(out.roots)}
                 for t in triples:
                     a, b, cc = sorted((pos[t.low], pos[t.mid], pos[t.high]))

@@ -337,7 +337,7 @@ def test_engine_matches_oracles_on_random_graphs(case):
     graph = commutation_graph(w)
     rank = {block: i for i, block in enumerate(class_partition(w))}
     at = [rank[block] for block in blocks]
-    assert graph.edges == {tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(blocks)}
+    assert graph.edges == {tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(g, blocks)}
     assert is_bipartite(graph).bipartite
     bits = [f_signature(w, c).vector() for c in graph.vertices]
     for i, j in graph.edges:
@@ -439,7 +439,7 @@ def test_factored_classes_match_the_oracles(spec, word):
     assert [c.size for c in enumerate_classes(w)] == [len(blocks[at.index(i)]) for i in range(len(at))]
     assert contractible_triples(w) == {t for t in inversion_triples(w) if oracle_contractible(w, t)}
     assert commutation_graph(w).edges == {
-        tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(blocks)
+        tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(g, blocks)
     }
 
 

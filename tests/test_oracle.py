@@ -64,10 +64,10 @@ def test_oracle_classes_examples():
 
 
 def test_oracle_edges_examples():
-    assert oracle_commutation_edges(oracle_classes_by_bfs(W0_S3)) == {(0, 1)}
-    assert oracle_commutation_edges(oracle_classes_by_bfs(identity_element(A2))) == frozenset()
+    assert oracle_commutation_edges(A2, oracle_classes_by_bfs(W0_S3)) == {(0, 1)}
+    assert oracle_commutation_edges(A2, oracle_classes_by_bfs(identity_element(A2))) == frozenset()
     w0_s4 = element_of(A3, (1, 2, 1, 3, 2, 1))  # 8 classes on a cycle
-    edges = oracle_commutation_edges(oracle_classes_by_bfs(w0_s4))
+    edges = oracle_commutation_edges(A3, oracle_classes_by_bfs(w0_s4))
     assert len(edges) == 8
     assert all(sum(i in e for e in edges) == 2 for i in range(8))
 

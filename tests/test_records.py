@@ -1,11 +1,12 @@
 """The value records: construction, attributes, equality, hashing, copies.
 
-Eight records are NamedTuples; CoxeterGraph and RootSequence are slotted
+Seven records are NamedTuples; CoxeterGraph and RootSequence are slotted
 classes, so the column loops read a graph's ``neighbors`` as one slot.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import os
 import pickle
@@ -27,7 +28,6 @@ from freebraid import (
     CoxeterGraph,
     Element,
     FSignature,
-    HeapOrder,
     Precedence,
     RootSequence,
     canonical_word,
@@ -36,7 +36,6 @@ from freebraid import (
     element_of,
     enumerate_classes,
     f_signature,
-    heap_order,
     is_bipartite,
     parse_graph,
     perm_to_element,
@@ -54,7 +53,6 @@ RECORDS = [
     (CoxeterGraph, ("n", "edges"), D4),
     (Element, ("graph", "columns", "length"), W),
     (RootSequence, ("graph", "roots"), root_sequence(D4, GOLDEN_D4_WORD)),
-    (HeapOrder, ("size", "relation"), heap_order(root_sequence(D4, GOLDEN_D4_WORD))),
     (Precedence, ("name", "key"), REVLEX),
     (CommutationClass, ("graph", "canonical_word", "size"), CLASS),
     (FSignature, ("entries",), f_signature(W, CLASS)),
@@ -169,3 +167,24 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout == "[]\n"
+
+
+def test_import_loads_no_oracle():
+    script = "import sys, freebraid; print('freebraid.oracle' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(freebraid.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout == "False\n"
+
+
+def test_oracle_imports_no_engine():
+    """The oracle stays independent of the production algorithms: of the
+    package it imports only the calculus and the root-sequence record."""
+    path = Path(freebraid.__file__).resolve().parent / "oracle.py"
+    package = {
+        node.module
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "freebraid")
+    }
+    assert package == {"coxeter", "rootseq"}

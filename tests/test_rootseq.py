@@ -1,4 +1,4 @@
-"""Root sequences, braid moves on them, heap orders."""
+"""Root sequences, the oracle's braid moves on them, commutation equivalence."""
 
 from __future__ import annotations
 
@@ -9,21 +9,23 @@ from hypothesis import strategies as st
 from freebraid import (
     RootSequence,
     act,
-    apply_long_move,
-    apply_short_move,
     commutation_equivalent,
     element_of,
     enumerate_reduced_words,
-    heap_order,
     identity_element,
     inversion_set,
     is_positive_root,
-    long_moves,
     parse_graph,
     reduce_word,
     root_sequence,
-    short_moves,
     word_of_root_sequence,
+)
+from freebraid.oracle import (
+    apply_long_move,
+    apply_short_move,
+    long_moves,
+    oracle_classes_by_bfs,
+    short_moves,
 )
 from conftest import GOLDEN_D4_ROOTS, GOLDEN_D4_WORD, group_by_length, random_elements
 
@@ -146,36 +148,6 @@ def test_roundtrip_all_s4_words():
                 assert word_of_root_sequence(root_sequence(A3, word)) == word
 
 
-# --- heap_order ---
-
-
-def test_heap_order_a2_total():
-    order = heap_order(A2_SEQ)
-    assert order.size == 3
-    assert order.relation == {
-        ((1, 0), (1, 1)),
-        ((1, 0), (0, 1)),
-        ((1, 1), (0, 1)),
-    }
-
-
-def test_heap_order_orthogonal_pair_empty():
-    seq = root_sequence(A3, (1, 3))
-    assert heap_order(seq).relation == frozenset()
-    assert heap_order(root_sequence(A3, ())).relation == frozenset()
-
-
-def test_heap_order_invariant_under_short_moves():
-    seq = root_sequence(D4, GOLDEN_D4_WORD)
-    for k in short_moves(seq):
-        assert heap_order(apply_short_move(seq, k)) == heap_order(seq)
-
-
-def test_heap_order_changes_under_long_moves():
-    seq = root_sequence(A2, (1, 2, 1))
-    assert heap_order(apply_long_move(seq, 0)) != heap_order(seq)
-
-
 # --- move discovery ---
 
 
@@ -257,6 +229,21 @@ def test_braid_move_correspondence_sampled_d4():
             assert_moves_match_word(D4, word)
 
 
+@pytest.mark.parametrize(
+    "spec, count, max_length",
+    [
+        ("1-2,2-3,1-3", 30, 10),  # affine A~2: long windows on unbounded tuple roots
+        ("1-2,1-3,1-4,2-3,2-4,3-4", 20, 8),  # K4, hyperbolic: every pair braids
+        ("E6", 20, 10),  # a rank-6 tree that is no path
+    ],
+)
+def test_braid_move_correspondence_past_finite_type(spec, count, max_length):
+    g = parse_graph(spec)
+    for w in random_elements(g, count, max_length, seed=20261020):
+        for word in enumerate_reduced_words(w):
+            assert_moves_match_word(g, word)
+
+
 # --- commutation_equivalent ---
 
 
@@ -265,6 +252,11 @@ def test_commutation_equivalent_basics():
     assert not commutation_equivalent(A2_SEQ, apply_long_move(A2_SEQ, 0))
     seq = root_sequence(A3, (1, 3))
     assert commutation_equivalent(seq, apply_short_move(seq, 0))
+    seq = root_sequence(D4, GOLDEN_D4_WORD)
+    for k in short_moves(seq):
+        assert commutation_equivalent(seq, apply_short_move(seq, k))
+    for k in long_moves(seq):
+        assert not commutation_equivalent(seq, apply_long_move(seq, k))
 
 
 @pytest.mark.parametrize(
@@ -276,17 +268,22 @@ def test_commutation_equivalent_basics():
         ("1-2,2-3,1-3", (1, 2, 3, 1, 2, 3, 2)),
         ("1-2,2-3,1-3", (1, 2, 1, 3, 2, 1, 3)),
         ("1-2,2-3,1-3", (1, 2, 1, 3, 1, 2, 1, 3)),
+        ("E6", (1, 3, 4, 2, 5, 4, 3, 1, 6, 5, 4)),  # 33 words in one class
+        ("1-2,1-3,1-4,2-3,2-4,3-4", (2, 3, 2, 1, 2, 3, 1, 2, 1, 3, 2)),  # K4: 20 one-word classes, vector columns
     ],
 )
-def test_commutation_equivalent_is_heap_order_equality(spec, word):
-    """On every pair of root sequences of a few D4 and affine A~2 elements,
-    the pairwise order check agrees with equal heap-order closures."""
+def test_commutation_equivalent_is_oracle_block_equality(spec, word):
+    """On every pair of root sequences of a few D4, affine A~2, E6 and K4
+    elements, the pairwise order check holds exactly when the oracle's
+    closure under adjacent orthogonal swaps puts both in one block."""
     g = parse_graph(spec)
-    seqs = [root_sequence(g, u) for u in enumerate_reduced_words(element_of(g, word))]
-    orders = [heap_order(r) for r in seqs]
-    for r1, o1 in zip(seqs, orders):
-        for r2, o2 in zip(seqs, orders):
-            assert commutation_equivalent(r1, r2) == (o1 == o2)
+    w = element_of(g, word)
+    block_of = {seq: i for i, b in enumerate(oracle_classes_by_bfs(w)) for seq in b}
+    seqs = [root_sequence(g, u) for u in enumerate_reduced_words(w)]
+    assert set(block_of) == {r.roots for r in seqs}
+    for r1 in seqs:
+        for r2 in seqs:
+            assert commutation_equivalent(r1, r2) == (block_of[r1.roots] == block_of[r2.roots])
 
 
 def test_commutation_equivalent_rejects_mismatch():
