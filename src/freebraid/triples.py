@@ -10,19 +10,21 @@ disjoint, and then each class has a sequence in which every contractible
 triple is a consecutive block where its middle root sat and all other roots
 keep their order.
 
-On a graph of finite type of rank at most 8 an element's triples are read
-off per-graph partner lists, built once from at most 120 positive roots
-(E8): at most 1,120 reads, on w0(E8), not a sum per pair of inversion
-roots.  Elsewhere the pairs of the inversion set are scanned, so the cost
-is set by the element's length, not by a positive root system that grows
-with the rank.
+On a graph of finite type of rank at most 8 an element's triples come from
+per-graph tables of the triples of its at most 120 positive roots (E8),
+built once, and no sum is formed per pair of inversion roots.  An element
+at most half of the positive roots long reads its inversion roots' partner
+lists; a longer one takes the table of every triple less those that touch a
+root outside its inversion set, so no triple is hashed again.  Elsewhere
+the pairs of the inversion set are scanned, so the cost is set by the
+element's length, not by a positive root system that grows with the rank.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coxeter import (CoxeterGraph, Element, Root, _calculus, _invert, _on_tree, _root_tree, _unpack,
+from .coxeter import (CoxeterGraph, Element, _calculus, _invert, _on_tree, _root_tree, _unpack,
                       is_path_forest)
 from .rootseq import (InversionTriple, RootSequence, commutation_equivalent, inversion_set,
                       word_of_root_sequence)
@@ -57,15 +59,46 @@ def _partners(g: CoxeterGraph) -> dict[int, tuple[tuple[int, InversionTriple], .
     return {a: tuple(entries) for a, entries in partners.items()}
 
 
+@lru_cache(maxsize=32)
+def _summands(g: CoxeterGraph) -> tuple[frozenset[InversionTriple], dict[int, frozenset[InversionTriple]]]:
+    """The ``_partners`` triples of a graph as one frozenset, and per positive
+    root, keyed as ``coxeter._root_tree`` packs it, those in which it is a
+    summand, low or high (a highest root is in none): E8 has 1,120, each
+    in two of the 119 sets."""
+    touching = {}
+    for a, entries in _partners(g).items():
+        for b, t in entries:
+            touching.setdefault(a, []).append(t)
+            touching.setdefault(b, []).append(t)
+    touching = {a: frozenset(ts) for a, ts in touching.items()}
+    return frozenset().union(*touching.values()), touching
+
+
 def inversion_triples(w: Element) -> frozenset[InversionTriple]:
     """Every triple {low, low + high, high} inside the inversion set of w, as
-    ``coxeter._invert`` encodes it: under ``coxeter._on_tree`` each
-    inversion root's partners that are inversions too (as w(low + high) =
-    w(low) + w(high) < 0), at most 1,120 reads on E8; elsewhere
-    ``_sum_pairs`` over the inversion set (L(L-1)/2 sums for length L)."""
+    ``coxeter._invert`` encodes it.
+
+    Under ``coxeter._on_tree``, for length L and |Phi+| positive roots, by one
+    of two routes that give the same set.  If 2L <= |Phi+|, each inversion
+    root's ``_partners`` that are inversions too (as w(low + high) =
+    w(low) + w(high) < 0): one read per partner of an inversion root, then
+    each triple found hashed again (three tuples of rank entries) into the
+    result.  If 2L > |Phi+|, ``_summands``: every triple of Phi+ less those
+    touching a root outside N(w), one copy of the table and one discard per
+    triple touched, all by the hashes the tables store, so no triple is
+    hashed.  The routes agree as an inversion set is closed (a, b in N(w)
+    with a + b a root puts a + b in N(w)), so a triple lies in N(w) exactly
+    when both its summands do.  On E8 the switch at L = 60 sits where the
+    two cost about the same; at w0 the partner route would hash 1,120
+    triples and the difference hashes none.  Elsewhere ``_sum_pairs`` over
+    the inversion set (L(L-1)/2 sums)."""
     g, inv = w.graph, _invert(w)[1]
     if _on_tree(g):
-        partners, inv = _partners(g), set(inv)
+        inv = set(inv)
+        if 2 * w.length > len(_root_tree(g)[0]):
+            every, touching = _summands(g)
+            return every.difference(*[ts for a, ts in touching.items() if a not in inv])
+        partners = _partners(g)
         return frozenset([t for a in inv for b, t in partners.get(a, ()) if b in inv])
     root_of = dict(zip(inv, _calculus(g)[1](inv, g.n)))
     return frozenset(InversionTriple(root_of[a], root_of[m], root_of[m - a]) for a, m in _sum_pairs(root_of))

@@ -25,7 +25,6 @@ from freebraid import (
     enumerate_classes,
     enumerate_reduced_words,
     f_signature,
-    identity_element,
     inversion_set,
     inversion_triples,
     is_bipartite,

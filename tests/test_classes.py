@@ -28,7 +28,7 @@ from freebraid import (
     to_dot,
 )
 from freebraid.coxeter import DEFAULT_MAX_WORD_LENGTH
-from freebraid.oracle import oracle_classes_by_bfs, oracle_reduced_words
+from freebraid.oracle import oracle_classes_by_bfs
 from conftest import GOLDEN_D4_WORD, brute_reduced_words, group_by_length
 
 A2 = parse_graph("A2")

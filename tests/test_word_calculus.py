@@ -14,8 +14,9 @@ inversion triples are read off a per-graph tree of the positive roots and
 its partner lists; the tree is checked against root counts and heights from
 the literature, and the tree route against the right-descent peel that
 serves every other graph.  Inversion triples are checked against a
-brute-force pair scan, and the partner lists against counts of A2
-subsystems.  reduce_word's column walk is checked to delete the letter the
+brute-force pair scan, on both sides of the length where the partner lists
+hand over to the table of every triple less those touching a non-inversion,
+and the partner lists against counts of A2 subsystems.  reduce_word's column walk is checked to delete the letter the
 exchange condition's walk on tuple roots deletes, and no word operation may
 call reflect or act.
 """
@@ -58,7 +59,7 @@ from freebraid.classes import _built, _engine, _induced
 from freebraid.coxeter import (_VECTORS, _Vector, _is_finite_type, _pack, _root_tree, _unpack, mat_mul,
                                reflection_matrix)
 from freebraid.oracle import oracle_reduced_words, oracle_root_sequence
-from freebraid.triples import _partners
+from freebraid.triples import InversionTriple, _partners, _summands
 from freebraid.typea import inversion_triples_1line, perm_to_element
 from conftest import GOLDEN_D4_WORD, all_positive_roots, group_by_length, random_elements
 
@@ -345,6 +346,7 @@ def test_a_short_element_of_high_rank_costs_what_its_roots_cost():
     w = element_of(parse_graph("A60"), (1, 2, 1))
     _partners.cache_clear()
     _root_tree.cache_clear()
+    _summands.cache_clear()
     tracemalloc.start()
     try:
         found = inversion_triples(w)
@@ -353,7 +355,64 @@ def test_a_short_element_of_high_rank_costs_what_its_roots_cost():
         tracemalloc.stop()
     assert {tuple(t) for t in found} == brute_force_triples(w) and len(found) == 1
     assert _partners.cache_info().misses == _root_tree.cache_info().misses == 0
+    assert _summands.cache_info().misses == 0
     assert peak < 64 * 1024
+
+
+# Types checked on both sides of the route switch at half of |Phi+|.
+SWITCH_TYPES = ("A5", "D5", "E6", "E7", "E8")
+
+
+def _switch_elements(name: str):
+    """Seeded elements of lengths floor(|Phi+|/2) - 1, floor(|Phi+|/2) and
+    floor(|Phi+|/2) + 1, two of each, then e and w0."""
+    g, (positive_roots, h) = parse_graph(name), TREE_TYPES[name]
+    rng = random.Random(f"switch:{name}")
+    half = positive_roots // 2
+    for length in (half - 1, half, half + 1):
+        for _ in range(2):
+            yield weak_order_walk(g, length, rng)[1]
+    yield identity_element(g)
+    yield element_of(g, bipartite_w0_word(g, h))
+
+
+@pytest.mark.parametrize("name", SWITCH_TYPES)
+def test_both_triple_routes_at_the_switch(name, peel_only, monkeypatch):
+    """Up to half of |Phi+| long the partner lists serve, past it the table
+    of every triple: both equal a brute-force scan and the pair scan of the
+    inversion set."""
+    positive_roots = TREE_TYPES[name][0]
+    elements = list(_switch_elements(name))
+    tabled, summands = [], freebraid.triples._summands
+    monkeypatch.setattr(freebraid.triples, "_summands", lambda g: tabled.append(g) or summands(g))
+    on_tree = [inversion_triples(w) for w in elements]
+    assert len(tabled) == sum(2 * w.length > positive_roots for w in elements) == 3
+    for w, found in zip(elements, on_tree):
+        assert type(found) is frozenset and all(type(t) is InversionTriple for t in found)
+        assert all(t.low < t.high for t in found)
+        assert {tuple(t) for t in found} == brute_force_triples(w), w
+    to_peel, _ = peel_only
+    to_peel()
+    assert [inversion_triples(w) for w in elements] == on_tree
+    assert len(tabled) == 3
+    assert not on_tree[-2] and len(on_tree[-1]) == LITERATURE[name][1]
+
+
+def test_the_table_of_every_triple_is_built_once_and_only_for_long_elements():
+    """Elements at most half of |Phi+| long, as de_sweep's E6-E8 elements
+    are, never build the table of every triple; longer ones build it once
+    per graph."""
+    _summands.cache_clear()
+    names = ("E6", "E7", "E8", "D5")
+    for seed, name in enumerate(names):
+        for w in random_elements(parse_graph(name), 10, TREE_TYPES[name][0] // 2, seed):
+            inversion_triples(w)
+    assert _summands.cache_info().misses == 0
+    for seed, name in enumerate(names):
+        g, (positive_roots, h) = parse_graph(name), TREE_TYPES[name]
+        for w in random_elements(g, 10, positive_roots, seed) + [element_of(g, bipartite_w0_word(g, h))]:
+            inversion_triples(w)
+    assert _summands.cache_info().misses == len(names)
 
 
 # Above rank 8 the triples come from a pair scan of the inversion set.
