@@ -49,7 +49,9 @@ in T strictly between two roots of T in C's heap order, a chain of such
 pairs would run from a or a+b, through g, to a+b or b; it survives in C',
 where T is reversed, and closes a cycle.  So T is an interval of C's heap,
 some word of C carries it consecutively, and the long move there gives the
-class keyed by C's key XOR T's bit, which is C' as keys are injective.
+class keyed by C's key XOR T's bit, which is C' as keys are injective.  The
+edges (i, k), i < k, are read off vertex by vertex in class order, flipping
+each bit of i's key, and sorted once; the CLI writes them in that order.
 
 Reduced words are listed only by enumerate_reduced_words and class_partition,
 each maximal piece of a lex-least word in turn ending the word.  Caps: the
@@ -163,10 +165,11 @@ class FSignature(NamedTuple):
 
 
 class CommutationGraph(NamedTuple):
-    """Classes as vertices; edges join classes one long braid move apart."""
+    """Classes as vertices; edges join classes one long braid move apart,
+    each edge once as a pair (i, k) with i < k, the pairs in increasing order."""
 
     vertices: tuple[CommutationClass, ...]
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
 
 
 class BoundCheck(NamedTuple):
@@ -466,7 +469,7 @@ def commutation_graph(w: Element, cap: int | None = None) -> CommutationGraph:
     rank = {key: i for i, key in enumerate(e.classes.values())}
     flips = [1 << j for j in range(len(e.labels))]
     edges = ((i, k) for key, i in rank.items() for f in flips if (k := rank.get(key ^ f, -1)) > i)
-    return CommutationGraph(vertices, frozenset(edges))
+    return CommutationGraph(vertices, tuple(sorted(edges)))
 
 
 def is_bipartite(graph: CommutationGraph) -> Bipartition:
@@ -504,8 +507,7 @@ def to_dot(
     lines = ["graph commutation {"]
     if element_label is not None:
         lines.append(f"  // element: {element_label}")
-    verdict = is_bipartite(graph)
-    lines.append(f"  // bipartite: {'true' if verdict.bipartite else 'false'}")
+    lines.append(f"  // bipartite: {str(is_bipartite(graph).bipartite).lower()}")
     lines.append("  node [shape=box];")
     for i, c in enumerate(graph.vertices):
         label = format_word(c.canonical_word) or "e"
@@ -513,7 +515,7 @@ def to_dot(
         if parities is not None:
             attrs += f', style=filled, fillcolor="{_PARITY_FILL[parities[i]]}"'
         lines.append(f"  c{i} [{attrs}];")
-    for i, j in sorted(graph.edges):
+    for i, j in graph.edges:
         lines.append(f"  c{i} -- c{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -36,7 +36,6 @@ from .classes import (
     class_partition,
     commutation_graph,
     count_classes_and_check_bound,
-    enumerate_classes,
     enumerate_reduced_words,
     is_bipartite,
     signature_vectors,
@@ -102,8 +101,8 @@ def _json(value, pad: str) -> str:
 
 def _emit(doc: dict, args) -> None:
     """Print ``doc`` as ``json.dumps(doc, sort_keys=True, indent=2)`` would,
-    writing a value that is an iterator, such as a class pass, one row at a
-    time as it yields them."""
+    writing a value that is an iterator, such as a class pass or the edges,
+    one row at a time as it yields them."""
     if args.format != "json":
         return
     write = sys.stdout.write
@@ -183,7 +182,7 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _verify(w: Element, cap: int) -> None:
+def _verify(w: Element, cap: int, graph: CommutationGraph) -> None:
     produced = set(enumerate_reduced_words(w, cap))
     expected = oracle_reduced_words(w, cap)
     if produced != set(expected):
@@ -194,15 +193,14 @@ def _verify(w: Element, cap: int) -> None:
         raise VerificationError("class partition disagrees with BFS oracle")
     at = [rank[block] for block in blocks]
     del rank  # its keys hold every root sequence a second time
-    edges = {tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(w.graph, blocks)}
-    if edges != commutation_graph(w, cap).edges:
+    edges = (tuple(sorted((at[i], at[j]))) for i, j in oracle_commutation_edges(w.graph, blocks))
+    if tuple(sorted(edges)) != graph.edges:
         raise VerificationError("commutation graph edges disagree with the braid-move oracle")
     size = dict(zip(at, map(len, blocks)))
-    for k, c in enumerate(enumerate_classes(w, cap)):
+    for k, c in enumerate(graph.vertices):
         if c.size != size[k]:
-            raise VerificationError(
-                f"class size disagrees with BFS oracle for {format_word(c.canonical_word)}"
-            )
+            word = format_word(c.canonical_word)
+            raise VerificationError(f"class size disagrees with BFS oracle for {word}")
     contractible = contractible_triples(w, cap=cap)
     windows = oracle_contractible_triples(seq for block in blocks for seq in block)
     for t in sorted(inversion_triples(w)):
@@ -262,10 +260,10 @@ def cmd_analyze(args) -> int:
             for t in triples
         ],
         "classes": classes,
-        "edges": [list(e) for e in sorted(graph.edges)],
+        "edges": map(list, graph.edges),
     }
     if args.verify:
-        _verify(w, cap)
+        _verify(w, cap, graph)
         doc["verified"] = True
     _emit(doc, args)
     if args.format == "text":
@@ -282,8 +280,8 @@ def cmd_analyze(args) -> int:
             bits = "".join(str(b) for b in c["signature_bits"]) or "-"
             sign = "+" if c["parity"] > 0 else "-"
             print(f"class {i}: word={c['canonical'] or 'e'} size={c['size']} bits={bits} parity={sign}")
-        if doc["edges"]:
-            print("edges: " + " ".join(f"{i}-{j}" for i, j in doc["edges"]))
+        if graph.edges:
+            print("edges: " + " ".join(f"{i}-{j}" for i, j in graph.edges))
         if args.verify:
             print("verified against oracles: ok")
     return EXIT_OK
@@ -304,7 +302,7 @@ def cmd_graph(args) -> int:
         **meta,
         "element": label,
         "vertices": vertices,
-        "edges": [list(e) for e in sorted(graph.edges)],
+        "edges": map(list, graph.edges),
         "bipartite": verdict.bipartite,
     }
     _emit(doc, args)
@@ -313,7 +311,7 @@ def cmd_graph(args) -> int:
         for i, v in enumerate(vertices):
             extra = f" parity={'+' if v['parity'] > 0 else '-'}" if args.parity else ""
             print(f"vertex {i}: {v['canonical'] or 'e'} (size {v['size']}){extra}")
-        print("edges: " + (" ".join(f"{i}-{j}" for i, j in doc["edges"]) or "-"))
+        print("edges: " + (" ".join(f"{i}-{j}" for i, j in graph.edges) or "-"))
         print(f"bipartite: {str(verdict.bipartite).lower()}")
     return EXIT_OK
 

@@ -267,15 +267,15 @@ def test_bound_examples():
 def test_commutation_graph_shapes():
     g = commutation_graph(W0_S3)
     assert len(g.vertices) == 2
-    assert g.edges == {(0, 1)}
+    assert g.edges == ((0, 1),)
     g = commutation_graph(W0_S4)
     assert (len(g.vertices), len(g.edges)) == (8, 8)
     g = commutation_graph(element_of(A3, (1, 3)))
     assert len(g.vertices) == 1
-    assert g.edges == frozenset()
+    assert g.edges == ()
     g = commutation_graph(identity_element(A3))
     assert len(g.vertices) == 1
-    assert g.edges == frozenset()
+    assert g.edges == ()
 
 
 def test_commutation_graph_edges_flip_one_bit_w0_s4():

@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 import freebraid.cli as cli
-from freebraid import commutation_graph, enumerate_classes, f_signature
+from freebraid import commutation_graph, f_signature
 from freebraid.oracle import oracle_classes
 from freebraid.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
@@ -152,8 +152,11 @@ def test_verify_catches_class_partition_mismatch(capsys, monkeypatch):
 
 def test_verify_catches_class_size_mismatch(capsys, monkeypatch):
     # An engine that counts one word too many in every class.
-    grown = lambda w, cap=None: [c._replace(size=c.size + 1) for c in enumerate_classes(w, cap)]
-    monkeypatch.setattr(cli, "enumerate_classes", grown)
+    def grown(w, cap=None):
+        graph = commutation_graph(w, cap)
+        return graph._replace(vertices=tuple(c._replace(size=c.size + 1) for c in graph.vertices))
+
+    monkeypatch.setattr(cli, "commutation_graph", grown)
     code, out, err = run(capsys, *GOLDEN_D4)
     assert code == EXIT_VERIFY
     assert out == ""
@@ -164,7 +167,7 @@ def test_verify_catches_a_dropped_edge(capsys, monkeypatch):
     # A commutation graph that has lost one of its edges.
     def dropped(w, cap=None):
         graph = commutation_graph(w, cap)
-        return graph._replace(edges=graph.edges - {min(graph.edges)})
+        return graph._replace(edges=graph.edges[1:])
 
     monkeypatch.setattr(cli, "commutation_graph", dropped)
     code, out, err = run(capsys, *GOLDEN_D4)
@@ -245,13 +248,14 @@ def spy(monkeypatch, name):
     [
         (("analyze", "--perm", "4231"), True),
         (("analyze", "-g", "D4", "-w", "2 1 3 4 2 4 3 1 2", "--format", "text"), True),
+        (("analyze", "--perm", "4231", "--verify"), True),
         (("graph", "--perm", "4231", "--parity"), True),
         (("graph", "--perm", "4231", "--parity", "--dot"), True),
         (("graph", "--perm", "4231"), False),
         (("graph", "--perm", "4231", "--dot"), False),
         (("graph", "-g", "A2", "-w", "1 2 1", "--format", "text"), False),
     ],
-    ids=["analyze", "analyze_text", "graph_parity", "dot_parity", "graph", "dot", "graph_text"],
+    ids=["analyze", "analyze_text", "analyze_verify", "graph_parity", "dot_parity", "graph", "dot", "graph_text"],
 )
 def test_one_signature_per_class_and_only_when_printed(capsys, monkeypatch, argv, signed):
     passes, reads = [], []
@@ -267,7 +271,7 @@ def test_one_signature_per_class_and_only_when_printed(capsys, monkeypatch, argv
     graphs = spy(monkeypatch, "commutation_graph")
     code, _, err = run(capsys, *argv)
     assert code == EXIT_OK, err
-    ((_, graph),) = graphs
+    ((_, graph),) = graphs  # one graph, also checked by --verify
     # One pass over the search keys, reading each class's bits once, in
     # class order, and only when the command prints a signature.
     assert len(passes) == (1 if signed else 0)
@@ -509,6 +513,10 @@ GOLDEN_STDOUT = {
         "e7de6e35cb950563214283a39235cdfbc1ee8a5e27fb3661f4549510627fdeef",
     ("analyze", "-g", "A300", "-w", "300 299 300"):
         "0780a4bd7bbc03a4a9cd7d0c68977991f383e4db052ad4c7d59ea128c8ff72bc",
+    ("graph", "--perm", "654321", "--dot"):
+        "4a77745ba0b3e37c8c1dabeeb36a6d61a33d754dcee18daded344658de0d8907",
+    ("analyze", "--perm", "654321", "--format", "text"):
+        "1185f5ebedaefc772f12dfa183e2570a11bd9dd3c6f62b64bcffd455b640f39c",
 }
 
 
@@ -517,7 +525,8 @@ GOLDEN_STDOUT = {
     list(GOLDEN_STDOUT),
     ids=["w0_A5", "D4_verify_text", "E6_dot", "two_paths_revlex", "reduce_A2", "enumerate_6",
          "graph_A2_text", "graph_4231_parity_text", "triangle_verify", "graph_w0_A5",
-         "identity_A3", "reduce_A3_to_e", "A300_letters_above_255"],
+         "identity_A3", "reduce_A3_to_e", "A300_letters_above_255", "dot_w0_A5",
+         "text_w0_A5"],
 )
 def test_stdout_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
