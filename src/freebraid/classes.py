@@ -22,21 +22,22 @@ last, which keeps the word free of factors b y a with a < b and a commuting
 with b y, so lex-least (Anisimov and Knuth, 1979); its size is added to the
 new class's.  The sums are sizes: a heap's maximal pieces have distinct
 letters, as two pieces of one letter are comparable, so a class is reached
-once per maximal piece, from the class without it.  Where adjacent s and t
-are both right descents of v, the pieces s t s can come next, so
-{-v(a_s), -v(a_s) - v(a_t), -v(a_t)} is contractible; a prefix that s t s
-can follow can also be followed by t s t, so every contractible triple is
-found this way.
+once per maximal piece, from the class without it.  A class carries its
+key in the same int as its size: the piece of a triple's high summand sets
+the triple's bit when x has placed its low summand, alike for every x.
 
-A class's key is its lex signature: one bit per contractible triple, 1 when
-the class places the triple's high summand after its low one.  A signature
+A class's key has one bit per inversion triple of w, in sorted order, 1 when
+the class places the triple's high summand after its low one.  Keys are
+injective: a class is fixed by the order of its non-orthogonal pairs of
+roots, each in at most one inversion triple, and as braid moves join all
+reduced words, a short move reordering none and a long move the three of its
+own contractible triple, pairs outside contractible triples keep one order
+in every class.  A long move flips its own triple's bit, so the contractible
+triples, the labels, are the triples whose bit varies over the classes, and
+a key read at the labels' places is the class's lex signature.  A signature
 bit is 1 when the heap orders its triple's two summands against a fixed
 precedence on roots; another precedence's bits are the key XOR one mask, so
-revlex bits are lex bits XOR one vector per element.  Keys are injective: a
-class is fixed by the order of its non-orthogonal pairs of roots, each in at
-most one inversion triple, and as braid moves join all reduced words, a
-short move reordering none and a long move the three of its own contractible
-triple, pairs outside contractible triples keep one order in every class.
+revlex bits are lex bits XOR one vector per element.
 
 The keys also give the edges.  A long move flips its own label's bit alone,
 and conversely classes C and C' whose keys differ only in the bit of
@@ -51,7 +52,7 @@ where T is reversed, and closes a cycle.  So T is an interval of C's heap,
 some word of C carries it consecutively, and the long move there gives the
 class keyed by C's key XOR T's bit, which is C' as keys are injective.  The
 edges (i, k), i < k, are read off vertex by vertex in class order, flipping
-each bit of i's key, and sorted once; the CLI writes them in that order.
+each label bit of i's key, and sorted once; the CLI writes them in that order.
 
 Reduced words are listed only by enumerate_reduced_words and class_partition,
 each maximal piece of a lex-least word in turn ending the word.  Caps: the
@@ -229,20 +230,20 @@ def _capped_walk(sub: CoxeterGraph, start: list, letters: list[int], near: tuple
     del count  # count's closure holds count: break the cycle, so the memo goes on return
 
 
-def _pass(sub: CoxeterGraph, start: list, bit: dict, word: bytes, near: tuple[int, ...],
-          cap: int) -> tuple[dict[bytes, int], set]:
+def _pass(sub: CoxeterGraph, start: list, bit: dict, ends: dict, word: bytes, near: tuple[int, ...],
+          shift: int, cap: int) -> dict[bytes, int]:
     """The classes of the factor u that ``word`` spells, lex-least word to
-    size, and the column pairs of its contractible triples' summands.  A
-    layer maps the placed-root bitmask of each v, from u^-1 (``start`` on
-    u's letters), to v's columns and classes; ``bit`` maps a piece's column
-    to its root's bit."""
+    ``size << shift | key``.  A layer maps the placed-root bitmask of each v,
+    from u^-1 (``start`` on u's letters), to v's columns and classes;
+    ``bit`` maps a piece's column to its root's bit, and ``ends`` maps it to
+    the (low summand's root bit, key bit) of each triple it is the high
+    summand of."""
     letters = sorted(set(word))
-    above = {s: [t - 1 for t in sub.neighbors[s] if t - 1 > s] for s in letters}
     pieces = {s: bytes((s,)) for s in letters}
     free = {s: bytes([t for t in range(len(near)) if not near[s] >> t & 1]) for s in letters}
     lower = {s: bytes([t for t in free[s] if t < s]) for s in letters}
-    pairs = set()
-    layer = {0: (start, {b"": 1})}
+    sizes = -1 << shift
+    layer = {0: (start, {b"": 1 << shift})}
     walked = False
     for _ in word:
         grown: dict = {}
@@ -252,9 +253,6 @@ def _pass(sub: CoxeterGraph, start: list, bit: dict, word: bytes, near: tuple[in
                 c = cols[s]
                 if not c < 0:
                     continue
-                for t in above[s]:
-                    if cols[t] < 0:
-                        pairs.add((c, cols[t]))
                 to = mask | bit[c]
                 entry = grown.get(to)
                 if entry is None:
@@ -263,11 +261,12 @@ def _pass(sub: CoxeterGraph, start: list, bit: dict, word: bytes, near: tuple[in
                     entry = grown[to] = moved, {}
                 into = entry[1]
                 total -= len(into)
+                placed = sum([j for low, j in ends[c] if mask & low]) if c in ends else 0
                 piece, commuting, below = pieces[s], free[s], lower[s]
                 for x, k in classes.items():  # s joins the run of letters commuting with it
                     rest = x[len(x.rstrip(commuting)):].lstrip(below)  # that ends x, before its first above s
                     y = x[: len(x) - len(rest)] + piece + rest
-                    into[y] = into.get(y, 0) + k
+                    into[y] = into[y] + (k & sizes) if y in into else k | placed  # one key, however reached
                 total += len(into)
             if total > cap and not walked:
                 walked = True
@@ -278,7 +277,7 @@ def _pass(sub: CoxeterGraph, start: list, bit: dict, word: bytes, near: tuple[in
                 )
         layer = grown
     (_, classes), = layer.values()
-    return classes, pairs
+    return classes
 
 
 class _Engine:
@@ -287,15 +286,17 @@ class _Engine:
     Words are ``bytes`` over w's support relabelled in order: letter i is
     ``support[i]``, and ``near[i]`` has bit j set when letters i and j are
     equal or adjacent.  ``classes`` maps each class's lex-least word, in
-    sorted order, to its key, and ``sizes`` holds their sizes in that order.
-    ``labels`` holds the contractible triples, sorted, bit j of a key for
-    labels[j].  ``cap`` bounds the classes, the prefixes of one length in a
-    pass and the words ``members`` lists.
+    sorted order, to its key, bit j for the j-th sorted inversion triple, and
+    ``sizes`` holds their sizes in that order.  ``labels`` holds the
+    contractible triples, sorted, and ``places`` their key bits.  ``cap``
+    bounds the classes, the prefixes of one length in a pass and the words
+    ``members`` lists.
     """
 
-    __slots__ = ("cap", "support", "near", "classes", "sizes", "labels")
+    __slots__ = ("cap", "support", "near", "classes", "sizes", "labels", "places")
 
     def __init__(self, w: Element, cap: int):
+        from .triples import inversion_triples  # triples imports this module
         g, least = w.graph, canonical_word(w)
         support = tuple(sorted(set(least)))
         letter = {s: i for i, s in enumerate(support)}
@@ -306,40 +307,38 @@ class _Engine:
         for i in range(len(word) - 1, -1, -1):  # start runs to w^-1, its column of word[i] to -root i
             _step(sub, start, word[i] + 1)
             bit[start[word[i]]] = 1 << i
+        column = dict(zip(decode([-c for c in bit], g.n), bit))
+        triples, ends = sorted(inversion_triples(w)), {}
+        for j, t in enumerate(triples):
+            ends.setdefault(column[t.high], []).append((bit[column[t.low]], 1 << j))
+        shift = len(triples)
         factors = [bytes([s for s in word if part >> s & 1]) for part in components]
-        parts = [_pass(sub, start, bit, u, near, cap) for u in factors]
-        if prod(len(classes) for classes, _ in parts) > cap:
+        parts = [_pass(sub, start, bit, ends, u, near, shift, cap) for u in factors]
+        if prod(map(len, parts)) > cap:
             raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
-        rows = list(parts[0][0].items()) if parts else [(b"", 1)]
-        for classes, _ in parts[1:]:  # a class is one class per factor, and its words shuffle theirs
-            rows = [(bytes(merge(x, y)), k * m) for x, k in rows for y, m in classes.items()]
+        every = (1 << shift) - 1
+        rows = list(parts[0].items()) if parts else [(b"", 1 << shift)]
+        for classes in parts[1:]:  # a class is one class per factor: words shuffle theirs, keys OR
+            rows = [(bytes(merge(x, y)), (k >> shift) * (m >> shift) << shift | (k | m) & every)
+                    for x, k in rows for y, m in classes.items()]
         ways = factorial(len(word)) // prod(factorial(len(u)) for u in factors)
-        rows = sorted((x, ways * k) for x, k in rows)
-        ends = {}
-        for pair in set().union(*[pairs for _, pairs in parts]):
-            roots = decode([-c for c in pair], g.n)
-            (low, lo), (high, hi) = sorted(zip(roots, pair))
-            ends[InversionTriple(low, tuple([a + b for a, b in zip(low, high)]), high)] = lo, hi
-        self.labels = tuple(sorted(ends))
-        spans = list(enumerate(ends[t] for t in self.labels))
+        rows.sort()
         self.cap = cap
         self.support, self.near = support, near
-        self.sizes = [k for _, k in rows]
-        self.classes = {}
-        for x, _ in rows:  # a key bit is 1 when x places the triple's high summand after its low one
-            cols, pos = start[:], {}
-            for i, s in enumerate(x):
-                pos[cols[s]] = i
-                _step(sub, cols, s + 1)
-            self.classes[x] = sum(1 << j for j, (lo, hi) in spans if pos[hi] > pos[lo])
+        self.sizes = [ways * (k >> shift) for _, k in rows]
+        self.classes = {x: k & every for x, k in rows}
+        keys = self.classes.values()  # a label's bit varies over the classes, any other is fixed
+        varied = functools.reduce(int.__or__, keys) ^ functools.reduce(int.__and__, keys)
+        self.places = tuple([j for j in range(shift) if varied >> j & 1])
+        self.labels = tuple([triples[j] for j in self.places])
 
     def mask(self, precedence: Precedence) -> int:
         """The key bits of the labels whose summands ``precedence`` orders against lex."""
-        return sum(1 << j for j, t in enumerate(self.labels) if not precedence.precedes(t.low, t.high))
+        return sum(1 << j for j, t in zip(self.places, self.labels) if not precedence.precedes(t.low, t.high))
 
     def bits(self, x: int) -> tuple[int, ...]:
-        """The bits of ``x``, per sorted label."""
-        return tuple([x >> j & 1 for j in range(len(self.labels))])
+        """The bits of ``x`` at the labels' places, per sorted label."""
+        return tuple([x >> j & 1 for j in self.places])
 
     def vertices(self, g: CoxeterGraph) -> tuple[CommutationClass, ...]:
         words = (tuple([self.support[s] for s in word]) for word in self.classes)
@@ -467,7 +466,7 @@ def commutation_graph(w: Element, cap: int | None = None) -> CommutationGraph:
     e = _engine(w, cap)
     vertices = e.vertices(w.graph)
     rank = {key: i for i, key in enumerate(e.classes.values())}
-    flips = [1 << j for j in range(len(e.labels))]
+    flips = [1 << j for j in e.places]
     edges = ((i, k) for key, i in rank.items() for f in flips if (k := rank.get(key ^ f, -1)) > i)
     return CommutationGraph(vertices, tuple(sorted(edges)))
 

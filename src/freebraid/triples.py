@@ -2,8 +2,8 @@
 
 An inversion triple of w is a subset {low, low+high, high} of its inversion
 set.  The triple is contractible when some root sequence of w carries its
-three roots consecutively, which the class engine reads off the pairs of
-adjacent right descents it meets.  On a graph whose components are paths
+three roots consecutively, which the class engine reads off as the triples
+whose key bit varies over the classes.  On a graph whose components are paths
 every inversion triple is contractible, so no class engine runs there.  An
 element is freely braided when its contractible triples are pairwise
 disjoint, and then each class has a sequence in which every contractible

@@ -110,6 +110,18 @@ def test_analyze_builds_no_heap_and_counts_sizes_once(monkeypatch, capsys):
     assert calls == {"_pass": 1, "members": 0}
 
 
+@pytest.mark.parametrize("n, steps", [(6, 734), (7, 5_060)])
+def test_the_pass_is_the_only_traversal(monkeypatch, n, steps):
+    """Building the engine of w0 in S_n steps the columns once per letter to
+    reach w^-1 and once per element of the weak-order interval past e, as the
+    pass carries each class's key: n!-1 + C(n,2) steps, and no walk along a
+    class word."""
+    calls = count_calls(monkeypatch, (freebraid.classes, "_step"))
+    _Engine(perm_to_element(tuple(range(n, 0, -1))), 10**6)
+    assert calls == {"_step": steps}
+    assert steps == factorial(n) - 1 + comb(n, 2)
+
+
 def test_one_pass_per_support_component(monkeypatch, capsys):
     """w0(A4) twice over, on two components of the support, takes two
     passes, one per component, and peels no class heap."""
@@ -176,14 +188,19 @@ def test_insertion_gives_the_first_linear_extension(g, word):
 @pytest.mark.parametrize("g, word", SCAN_CASES)
 def test_signatures_read_off_the_key_match_heap_positions(g, word):
     """A bit is 1 exactly when the class orders a triple's two summands
-    against the precedence.  A class's key, read per sorted label, is its lex
-    signature, and its revlex bits are its lex bits XOR one vector shared by
-    every class of the element."""
+    against the precedence.  A class's key, read at the labels' places, is
+    its lex signature, and its revlex bits are its lex bits XOR one vector
+    shared by every class of the element.  Read off heap positions alone,
+    every inversion triple that is not contractible has its summands in one
+    order in every class, which is why the labels are the key bits that
+    vary."""
     w = element_of(g, word)
     e = _engine(w)
-    differences = set()
+    fixed = sorted(inversion_triples(w) - contractible_triples(w))
+    differences, orders = set(), set()
     for c, key in zip(enumerate_classes(w), e.classes.values()):
         pos = {r: i for i, r in enumerate(c.canonical.roots)}
+        orders.add(tuple(pos[t.low] < pos[t.high] for t in fixed))
         vectors = []
         for precedence in (LEX, REVLEX):
             expected = [
@@ -193,9 +210,10 @@ def test_signatures_read_off_the_key_match_heap_positions(g, word):
             assert list(f_signature(w, c, precedence).entries) == expected
             vectors.append([b for _, b in expected])
         lex, revlex = vectors
-        assert [key >> j & 1 for j in range(len(e.labels))] == lex
+        assert list(e.bits(key)) == lex
         differences.add(tuple(a ^ b for a, b in zip(lex, revlex)))
     assert len(differences) == 1
+    assert len(orders) == 1
 
 
 def long_moves(word: bytes, near: tuple[int, ...]):
