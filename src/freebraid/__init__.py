@@ -44,7 +44,6 @@ from .classes import (
     LEX,
     PRECEDENCES,
     REVLEX,
-    Bipartition,
     BoundCheck,
     CommutationClass,
     CommutationGraph,
@@ -93,7 +92,7 @@ __all__ = [
     "RootSequence", "commutation_equivalent", "inversion_set", "root_sequence",
     "word_of_root_sequence",
     # classes
-    "LEX", "PRECEDENCES", "REVLEX", "Bipartition", "BoundCheck", "CommutationClass",
+    "LEX", "PRECEDENCES", "REVLEX", "BoundCheck", "CommutationClass",
     "CommutationGraph", "FSignature", "Precedence", "class_partition", "commutation_graph",
     "count_classes_and_check_bound", "enumerate_classes", "enumerate_reduced_words", "f_signature",
     "is_bipartite", "parity", "signature_vectors", "to_dot",

@@ -53,6 +53,9 @@ some word of C carries it consecutively, and the long move there gives the
 class keyed by C's key XOR T's bit, which is C' as keys are injective.  The
 edges (i, k), i < k, are read off vertex by vertex in class order, flipping
 each label bit of i's key, and sorted once; the CLI writes them in that order.
+So each edge flips one label bit, and the parity of a key's weight at the
+labels' places, the lex signature's parity, two-colours the graph: the graph
+keeps it per class as ``sides``, and is_bipartite checks each edge against it.
 
 Reduced words are listed only by enumerate_reduced_words and class_partition,
 each maximal piece of a lex-least word in turn ending the word.  Caps: the
@@ -67,7 +70,6 @@ cap and bounds its work by it.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from heapq import merge
 from math import factorial, prod
 from typing import Callable, Iterator, NamedTuple
@@ -97,7 +99,6 @@ __all__ = [
     "FSignature",
     "CommutationGraph",
     "BoundCheck",
-    "Bipartition",
     "enumerate_reduced_words",
     "enumerate_classes",
     "class_partition",
@@ -167,10 +168,12 @@ class FSignature(NamedTuple):
 
 class CommutationGraph(NamedTuple):
     """Classes as vertices; edges join classes one long braid move apart,
-    each edge once as a pair (i, k) with i < k, the pairs in increasing order."""
+    each edge once as a pair (i, k) with i < k, the pairs in increasing order.
+    ``sides[i]`` is 1 when class i's lex signature has odd weight, else 0."""
 
     vertices: tuple[CommutationClass, ...]
     edges: tuple[tuple[int, int], ...]
+    sides: bytes
 
 
 class BoundCheck(NamedTuple):
@@ -178,11 +181,6 @@ class BoundCheck(NamedTuple):
     contractible: int
     bound_holds: bool
     achieves_bound: bool
-
-
-class Bipartition(NamedTuple):
-    bipartite: bool
-    coloring: tuple[int, ...] | None
 
 
 @functools.lru_cache(maxsize=64)
@@ -248,7 +246,8 @@ def _pass(sub: CoxeterGraph, start: list, bit: dict, ends: dict, word: bytes, ne
     for _ in word:
         grown: dict = {}
         total = 0
-        for mask, (cols, classes) in layer.items():
+        while layer:  # popped, so each v's classes are freed once pushed
+            mask, (cols, classes) = layer.popitem()
             for s in letters:
                 c = cols[s]
                 if not c < 0:
@@ -462,36 +461,22 @@ def count_classes_and_check_bound(w: Element, cap: int | None = None) -> BoundCh
 
 
 def commutation_graph(w: Element, cap: int | None = None) -> CommutationGraph:
-    """The classes of w, joined where their keys differ in one bit."""
+    """The classes of w, joined where their keys differ in one bit, each on
+    the side of its key's weight parity at the labels' places."""
     e = _engine(w, cap)
     vertices = e.vertices(w.graph)
     rank = {key: i for i, key in enumerate(e.classes.values())}
     flips = [1 << j for j in e.places]
+    labelled = sum(flips)
     edges = ((i, k) for key, i in rank.items() for f in flips if (k := rank.get(key ^ f, -1)) > i)
-    return CommutationGraph(vertices, tuple(sorted(edges)))
+    sides = bytes([(key & labelled).bit_count() & 1 for key in rank])
+    return CommutationGraph(vertices, tuple(sorted(edges)), sides)
 
 
-def is_bipartite(graph: CommutationGraph) -> Bipartition:
-    n = len(graph.vertices)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    color: list[int | None] = [None] * n
-    for start in range(n):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] is None:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return Bipartition(False, None)
-    return Bipartition(True, tuple(c for c in color))
+def is_bipartite(graph: CommutationGraph) -> bool:
+    """Whether every edge joins two sides: ``sides`` is then a 2-colouring."""
+    sides = graph.sides
+    return all(sides[i] != sides[k] for i, k in graph.edges)
 
 
 _PARITY_FILL = {1: "#aec7e8", -1: "#ffbb78"}
@@ -501,20 +486,19 @@ def to_dot(
     graph: CommutationGraph,
     parities: tuple[int, ...] | None = None,
     element_label: str | None = None,
-) -> str:
-    """DOT text: one vertex per class labeled by its canonical word."""
-    lines = ["graph commutation {"]
+) -> Iterator[str]:
+    """DOT text, line by line: one vertex per class labeled by its canonical word."""
+    yield "graph commutation {\n"
     if element_label is not None:
-        lines.append(f"  // element: {element_label}")
-    lines.append(f"  // bipartite: {str(is_bipartite(graph).bipartite).lower()}")
-    lines.append("  node [shape=box];")
+        yield f"  // element: {element_label}\n"
+    yield f"  // bipartite: {str(is_bipartite(graph)).lower()}\n"
+    yield "  node [shape=box];\n"
     for i, c in enumerate(graph.vertices):
         label = format_word(c.canonical_word) or "e"
         attrs = f'label="{label}"'
         if parities is not None:
             attrs += f', style=filled, fillcolor="{_PARITY_FILL[parities[i]]}"'
-        lines.append(f"  c{i} [{attrs}];")
+        yield f"  c{i} [{attrs}];\n"
     for i, j in graph.edges:
-        lines.append(f"  c{i} -- c{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  c{i} -- c{j};\n"
+    yield "}\n"

@@ -291,19 +291,21 @@ def cmd_graph(args) -> int:
     w, meta = _element(args)
     cap = _cap(args)
     precedence = PRECEDENCES[args.precedence]
-    graph, vertices = _class_rows(w, cap, precedence, parity=args.parity)
+    graph, vertices = _class_rows(w, cap, precedence, parity=args.parity and not args.dot)
     label = format_word(graph.vertices[0].canonical_word) or "e"
     if args.dot:
-        parities = tuple(v["parity"] for v in vertices) if args.parity else None
-        sys.stdout.write(to_dot(graph, parities, label))
+        parities = None
+        if args.parity:
+            parities = tuple([-1 if sum(sig) % 2 else 1 for sig in signature_vectors(w, precedence, cap)])
+        sys.stdout.writelines(to_dot(graph, parities, label))
         return EXIT_OK
-    verdict = is_bipartite(graph)
+    bipartite = is_bipartite(graph)
     doc = {
         **meta,
         "element": label,
         "vertices": vertices,
         "edges": map(list, graph.edges),
-        "bipartite": verdict.bipartite,
+        "bipartite": bipartite,
     }
     _emit(doc, args)
     if args.format == "text":
@@ -312,7 +314,7 @@ def cmd_graph(args) -> int:
             extra = f" parity={'+' if v['parity'] > 0 else '-'}" if args.parity else ""
             print(f"vertex {i}: {v['canonical'] or 'e'} (size {v['size']}){extra}")
         print("edges: " + (" ".join(f"{i}-{j}" for i, j in graph.edges) or "-"))
-        print(f"bipartite: {str(verdict.bipartite).lower()}")
+        print(f"bipartite: {str(bipartite).lower()}")
     return EXIT_OK
 
 

@@ -74,6 +74,7 @@ def _summands(g: CoxeterGraph) -> tuple[frozenset[InversionTriple], dict[int, fr
     return frozenset().union(*touching.values()), touching
 
 
+@lru_cache(maxsize=1)  # one fb command asks for one element's triples up to four times
 def inversion_triples(w: Element) -> frozenset[InversionTriple]:
     """Every triple {low, low + high, high} inside the inversion set of w, as
     ``coxeter._invert`` encodes it.

@@ -146,14 +146,14 @@ def test_acceptance_06_signature_injectivity_s5():
 
 def check_graph_properties(w):
     graph = commutation_graph(w)
-    verdict = is_bipartite(graph)
-    assert verdict.bipartite
+    assert is_bipartite(graph)
     sigs = [f_signature(w, c).vector() for c in graph.vertices]
     cols = [parity(w, c) for c in graph.vertices]
+    assert graph.sides == bytes([c == -1 for c in cols])
     for i, j in graph.edges:
         assert sum(a != b for a, b in zip(sigs[i], sigs[j])) == 1
         assert cols[i] != cols[j]
-        assert verdict.coloring[i] != verdict.coloring[j]
+        assert graph.sides[i] != graph.sides[j]
 
 
 def test_acceptance_07_commutation_graphs_bipartite():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import pytest
 
 from freebraid import (
@@ -288,19 +291,29 @@ def test_commutation_graph_edges_flip_one_bit_w0_s4():
 
 def test_is_bipartite_accepts_w0_s4():
     graph = commutation_graph(W0_S4)
-    verdict = is_bipartite(graph)
-    assert verdict.bipartite
+    assert is_bipartite(graph) is True
     for i, j in graph.edges:
-        assert verdict.coloring[i] != verdict.coloring[j]
+        assert graph.sides[i] != graph.sides[j]
 
 
 def test_is_bipartite_rejects_triangle():
-    fake = CommutationGraph(
-        vertices=(0, 1, 2), edges=frozenset({(0, 1), (1, 2), (0, 2)})
-    )
-    verdict = is_bipartite(fake)
-    assert not verdict.bipartite
-    assert verdict.coloring is None
+    # No colouring of a triangle's three vertices puts every edge across.
+    for sides in itertools.product((0, 1), repeat=3):
+        fake = CommutationGraph(vertices=(0, 1, 2), edges=((0, 1), (0, 2), (1, 2)), sides=bytes(sides))
+        assert is_bipartite(fake) is False, sides
+
+
+def test_sides_are_the_lex_signature_parities():
+    s4 = [w for elems in group_by_length(A3, 6).values() for w in elems]
+    s5 = group_by_length(parse_graph("A4"), 6)[6]
+    others = [
+        element_of(D4, (2, 1, 3, 4) * 3),
+        element_of(parse_graph("1-2,2-3,1-3"), (1, 2, 3, 1, 2, 3, 2)),
+        element_of(parse_graph("1-2,1-3,1-4,2-3,2-4,3-4"), (2, 3, 2, 1, 2, 3, 1, 2, 1, 3, 2)),
+    ]
+    for w in [*s4, *s5, *others]:
+        graph = commutation_graph(w)
+        assert graph.sides == bytes([parity(w, c) == -1 for c in graph.vertices]), w
 
 
 def test_parity_is_proper_coloring_w0_s4():
@@ -343,7 +356,9 @@ def test_reordered_nonorthogonal_pairs_lie_in_a_contractible_triple():
 def test_to_dot_w0_s3():
     graph = commutation_graph(W0_S3)
     pars = tuple(parity(W0_S3, c) for c in graph.vertices)
-    dot = to_dot(graph, parities=pars, element_label="1 2 1")
+    lines = list(to_dot(graph, parities=pars, element_label="1 2 1"))
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+    dot = "".join(lines)
     assert dot.startswith("graph commutation {")
     assert "// element: 1 2 1" in dot
     assert "// bipartite: true" in dot
@@ -354,6 +369,23 @@ def test_to_dot_w0_s3():
 
 
 def test_to_dot_identity_label():
-    dot = to_dot(commutation_graph(identity_element(A2)))
+    dot = "".join(to_dot(commutation_graph(identity_element(A2))))
     assert 'label="e"' in dot
     assert "style=filled" not in dot
+
+
+def test_to_dot_streams_its_lines():
+    """DOT text is yielded line by line, so writing it out holds one line:
+    on w0(A5) (908 classes, the 109,160 characters of ``fb graph --perm
+    654321 --dot --parity``) under 64 KiB traced."""
+    w = perm_to_element((6, 5, 4, 3, 2, 1))
+    graph = commutation_graph(w)
+    pars = tuple(parity(w, c) for c in graph.vertices)
+    tracemalloc.start()
+    try:
+        written = sum(map(len, to_dot(graph, pars, "1 2 1 3 2 1 4 3 2 1 5 4 3 2 1")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == 109_160
+    assert peak < 64 * 2**10, peak

@@ -1,6 +1,6 @@
 """The value records: construction, attributes, equality, hashing, copies.
 
-Seven records are NamedTuples; CoxeterGraph and RootSequence are slotted
+Six records are NamedTuples; CoxeterGraph and RootSequence are slotted
 classes, so the column loops read a graph's ``neighbors`` as one slot.
 """
 
@@ -21,7 +21,6 @@ import freebraid
 from freebraid import (
     LEX,
     REVLEX,
-    Bipartition,
     BoundCheck,
     CommutationClass,
     CommutationGraph,
@@ -36,7 +35,6 @@ from freebraid import (
     element_of,
     enumerate_classes,
     f_signature,
-    is_bipartite,
     parse_graph,
     perm_to_element,
     root_sequence,
@@ -56,10 +54,9 @@ RECORDS = [
     (Precedence, ("name", "key"), REVLEX),
     (CommutationClass, ("graph", "canonical_word", "size"), CLASS),
     (FSignature, ("entries",), f_signature(W, CLASS)),
-    (CommutationGraph, ("vertices", "edges"), commutation_graph(W)),
+    (CommutationGraph, ("vertices", "edges", "sides"), commutation_graph(W)),
     (BoundCheck, ("classes", "contractible", "bound_holds", "achieves_bound"),
      count_classes_and_check_bound(W)),
-    (Bipartition, ("bipartite", "coloring"), is_bipartite(commutation_graph(W))),
 ]
 IDS = [kind.__name__ for kind, _, _ in RECORDS]
 NAMED_TUPLES = [row for row in RECORDS if row[0] not in (CoxeterGraph, RootSequence)]

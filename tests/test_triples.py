@@ -25,6 +25,7 @@ from freebraid import (
     parse_graph,
     root_sequence,
 )
+from freebraid.cli import EXIT_OK, main
 from freebraid.oracle import oracle_classes_by_bfs, oracle_contractible
 from freebraid.typea import enumerate_freely_braided, parse_permutation, perm_to_element
 from conftest import GOLDEN_D4_WORD, group_by_length, random_elements
@@ -53,6 +54,22 @@ def test_inversion_triples_w0_s3():
 def test_inversion_triples_empty_cases():
     assert inversion_triples(identity_element(A2)) == frozenset()
     assert inversion_triples(element_of(A3, (1, 3))) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "argv", [("--perm", "654321"), ("-g", "E8", "-w", "1 2 5 4 2 3 6 5 8 7 6")], ids=["path", "e8"]
+)
+def test_analyze_computes_the_triples_once(monkeypatch, capsys, argv):
+    """The CLI, the class engine and the contractibility checks each ask
+    for w's inversion triples; the last element's are kept, so one
+    ``fb analyze`` inverts w once for them."""
+    inverted = []
+    invert = freebraid.triples._invert
+    monkeypatch.setattr(freebraid.triples, "_invert", lambda w: inverted.append(w) or invert(w))
+    inversion_triples.cache_clear()
+    assert main(["analyze", *argv]) == EXIT_OK
+    capsys.readouterr()
+    assert len(inverted) == 1
 
 
 def test_inversion_triples_golden_d4():
