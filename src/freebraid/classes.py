@@ -199,32 +199,34 @@ def _induced(g: CoxeterGraph, support: Word) -> tuple[CoxeterGraph, tuple[int, .
     return sub, near, tuple(parts)
 
 
-def _capped_walk(sub: CoxeterGraph, start: list, letters: list[int], near: tuple[int, ...],
+def _capped_walk(sub: CoxeterGraph, start: list, bit: dict, letters: list[int], near: tuple[int, ...],
                  length: int, cap: int) -> None:
     """Raise the class error if a partial count of the lex-least words of u,
     of ``length`` and whose inverse has columns ``start``, passes ``cap``.
-    A state is v and the letters that may not come next: appending c adds
-    the letters below c and drops those equal or adjacent to c."""
+    A state is v, named as in the pass by the bitmask of the roots placed,
+    and the letters that may not come next: appending c adds the letters
+    below c and drops those equal or adjacent to c."""
     memo: dict = {}
 
-    def count(cols: list, left: int, blocked: int) -> int:
+    def count(cols: list, mask: int, left: int, blocked: int) -> int:
         if not left:
             return 1
-        state = (tuple(cols), blocked)
+        state = (mask, blocked)
         if state in memo or len(memo) >= cap * length:  # past the budget, a new state counts 0
             return memo.get(state, 0)
         total = 0
         for s in letters:
-            if not blocked >> s & 1 and cols[s] < 0:
+            c = cols[s]
+            if not blocked >> s & 1 and c < 0:
                 moved = cols[:]
                 _step(sub, moved, s + 1)
-                total += count(moved, left - 1, (blocked | (1 << s) - 1) & ~near[s])
+                total += count(moved, mask | bit[c], left - 1, (blocked | (1 << s) - 1) & ~near[s])
                 if total > cap:
                     raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
         memo[state] = total
         return total
 
-    count(start, length, 0)
+    count(start, 0, length, 0)
     del count  # count's closure holds count: break the cycle, so the memo goes on return
 
 
@@ -269,7 +271,7 @@ def _pass(sub: CoxeterGraph, start: list, bit: dict, ends: dict, word: bytes, ne
                 total += len(into)
             if total > cap and not walked:
                 walked = True
-                _capped_walk(sub, start, letters, near, len(word), cap)
+                _capped_walk(sub, start, bit, letters, near, len(word), cap)
             if len(grown) > cap:
                 raise CapExceededError(
                     f"more than {cap} down-sets of one size in a class heap", count=cap + 1

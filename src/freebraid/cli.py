@@ -4,7 +4,8 @@ Subcommands: reduce (word calculus), analyze (triples, classes, signatures,
 bound), graph (commutation graph as JSON or DOT), enumerate (type-A tables).
 Output is JSON with sorted keys by default; --format text switches to a
 human layout.  Exit codes: 0 ok, 2 parse error, 3 cap exceeded or out of
-memory, 4 verification mismatch.
+memory, 4 verification mismatch.  A reader that closes stdout early ends
+the command quietly, with exit 0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from json.encoder import encode_basestring_ascii
 
 from .coxeter import (
     CapExceededError,
-    DEFAULT_SEQUENCE_CAP,
     Element,
     ParseError,
     element_of,
@@ -122,18 +122,11 @@ def _emit(doc: dict, args) -> None:
     write("\n}\n" if doc else "{}\n")
 
 
-def _cap(args) -> int:
-    source, cap = "--max-words", args.max_words
-    if cap is None:
-        source, env = "FB_MAX_WORDS", os.environ.get("FB_MAX_WORDS")
-        if env is None:
-            return DEFAULT_SEQUENCE_CAP
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ParseError(f"bad FB_MAX_WORDS value {env!r}") from None
-    if cap < 1:
-        raise ParseError(f"{source} must be at least 1, not {cap}")
+def _cap(args) -> int | None:
+    """--max-words, or None for the library's default cap."""
+    cap = args.max_words
+    if cap is not None and cap < 1:
+        raise ParseError(f"--max-words must be at least 1, not {cap}")
     return cap
 
 
@@ -182,7 +175,7 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _verify(w: Element, cap: int, graph: CommutationGraph) -> None:
+def _verify(w: Element, cap: int | None, graph: CommutationGraph) -> None:
     produced = set(enumerate_reduced_words(w, cap))
     expected = oracle_reduced_words(w, cap)
     if produced != set(expected):
@@ -209,7 +202,7 @@ def _verify(w: Element, cap: int, graph: CommutationGraph) -> None:
 
 
 def _class_rows(
-    w: Element, cap: int, precedence: Precedence, parity: bool, bits: bool = False
+    w: Element, cap: int | None, precedence: Precedence, parity: bool, bits: bool = False
 ) -> tuple[CommutationGraph, Iterator[dict]]:
     """The commutation graph of w and a pass yielding one row per class, in
     class order: its lex-least word and size, its signature parity if
@@ -354,7 +347,7 @@ def _add_common(p: argparse.ArgumentParser, classes: bool = True) -> None:
     if classes:
         p.add_argument("--max-words", type=int, default=None,
                        help="cap on commutation classes, and on reduced words where words "
-                            "are listed (--verify); overrides FB_MAX_WORDS")
+                            "are listed (--verify)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     if classes:
         p.add_argument("--precedence", choices=tuple(PRECEDENCES), default="lex",
@@ -400,7 +393,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return status
+    except BrokenPipeError:  # so stdout goes to devnull, and the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CapExceededError as e:
         partial = f" (partial count: {e.count})" if e.count is not None else ""
         print(f"error: {e}{partial}", file=sys.stderr)

@@ -58,8 +58,6 @@ __all__ = [
     "root_str",
     "reflect",
     "act",
-    "reflection_matrix",
-    "mat_mul",
     "element_of",
     "identity_element",
     "times_generator",
@@ -69,8 +67,6 @@ __all__ = [
     "is_reduced",
     "is_path_forest",
     "is_standard_a_graph",
-    "DEFAULT_MAX_WORD_LENGTH",
-    "DEFAULT_SEQUENCE_CAP",
 ]
 
 Word = tuple[int, ...]

@@ -42,12 +42,9 @@ __all__ = [
     "perm_to_element",
     "element_to_perm",
     "inversion_triples_1line",
-    "inversion_triple_count",
     "contains_pattern",
     "is_freely_braided_perm",
     "enumerate_freely_braided",
-    "class_counts",
-    "DEFAULT_MAX_ENUM_RANK",
 ]
 
 Permutation = tuple[int, ...]

@@ -526,8 +526,9 @@ def test_size_memo_relabels_letters_above_255():
 def test_capped_search_holds_each_class_as_one_word_and_key():
     """The pass stores a class of a prefix as its bytes word and size, and
     the counting walk stops it once a layer holds more classes than the cap:
-    the pass over w0(A9), cut at 20,000 classes, peaks under 13 MiB of
-    traced Python memory, as each v's classes are freed once pushed."""
+    the pass over w0(A9), cut at 20,000 classes, peaks under 10 MiB of
+    traced Python memory, as each v's classes are freed once pushed and the
+    walk keys each v by its placed-root bitmask."""
     w = perm_to_element(tuple(range(10, 0, -1)))
     tracemalloc.start()
     try:
@@ -536,7 +537,26 @@ def test_capped_search_holds_each_class_as_one_word_and_key():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13 * 2**20, peak
+    assert peak < 10 * 2**20, peak
+
+
+def test_capped_walk_on_a_wide_heap_keys_each_prefix_by_its_mask(monkeypatch):
+    """The fence 1 3 5 ... 19 2 4 ... 20 on A20 is fully commutative, one
+    class, but has Fibonacci-many prefixes: at cap 2,000 the pass hands over
+    to the counting walk once, then raises on the prefixes of one length.
+    The walk's states are (placed-root mask, blocked letters), so the whole
+    run peaks under 6 MiB of traced Python memory."""
+    w = element_of(parse_graph("A20"), (*range(1, 21, 2), *range(2, 21, 2)))
+    calls = count_calls(monkeypatch, (freebraid.classes, "_capped_walk"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="^more than 2000 down-sets of one size in a class heap$"):
+            _Engine(w, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == {"_capped_walk": 1}
+    assert peak < 6 * 2**20, peak
 
 
 def test_wide_heap_exits_on_the_cap(capsys):

@@ -7,6 +7,10 @@ import hashlib
 import json
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -406,16 +410,11 @@ def test_word_length_cap_exits_before_any_search(capsys):
     assert err.strip() == "error: element length 65 exceeds the word-length cap 64 (partial count: 0)"
 
 
-def test_env_cap(capsys, monkeypatch):
+def test_the_environment_sets_no_cap(capsys, monkeypatch):
+    """--max-words is the one source of the class cap: FB_MAX_WORDS is not read."""
     monkeypatch.setenv("FB_MAX_WORDS", "5")
     code, _, err = run(capsys, "analyze", "-g", "A3", "-w", "1 2 1 3 2 1")
-    assert code == EXIT_CAP
-
-
-def test_flag_overrides_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FB_MAX_WORDS", "5")
-    code, out, _ = run(capsys, "analyze", "-g", "A3", "-w", "1 2 1 3 2 1", "--max-words", "100")
-    assert code == EXIT_OK
+    assert code == EXIT_OK, err
 
 
 @pytest.mark.parametrize("flag", ["0", "-5"])
@@ -425,18 +424,27 @@ def test_cap_flag_below_one_is_a_parse_error(flag, capsys):
     assert f"--max-words must be at least 1, not {flag}" in err
 
 
-def test_env_cap_below_one_is_a_parse_error(capsys, monkeypatch):
-    monkeypatch.setenv("FB_MAX_WORDS", "0")
-    code, _, err = run(capsys, "graph", "-g", "A2", "-w", "1")
-    assert code == EXIT_PARSE
-    assert "FB_MAX_WORDS must be at least 1, not 0" in err
-
-
-def test_bad_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FB_MAX_WORDS", "many")
-    code, _, err = run(capsys, "analyze", "-g", "A2", "-w", "1")
-    assert code == EXIT_PARSE
-    assert "FB_MAX_WORDS" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--perm", "654321"],
+        ["graph", "--perm", "654321", "--parity"],
+        ["graph", "--perm", "654321", "--dot", "--parity"],
+    ],
+)
+def test_a_closed_stdout_ends_fb_quietly(argv):
+    """Each w0(A5) document is larger than a 64 KiB pipe buffer, so fb is
+    still writing when its reader closes the pipe after one line."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "freebraid.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), err) == (EXIT_OK, b"")
 
 
 def test_threads_flag_validated(capsys):

@@ -68,6 +68,29 @@ def test_the_package_exports_every_name_its_all_lists():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(freebraid.__all__)
 
 
+MODULES = ("coxeter", "rootseq", "classes", "triples", "typea")
+
+
+def test_no_name_is_listed_by_two_modules():
+    """The package star-imports each module in turn, so a name in two lists
+    would be shadowed by the later module without an error."""
+    owners: dict[str, list[str]] = {}
+    for module in MODULES:
+        for name in getattr(freebraid, module).__all__:
+            owners.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_listed_name_is_an_attribute_of_its_module(module):
+    mod = getattr(freebraid, module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_the_package_lists_the_union_of_its_modules_lists():
+    assert sorted(freebraid.__all__) == sorted(n for m in MODULES for n in getattr(freebraid, m).__all__)
+
+
 def test_the_scan_finds_an_unused_import_and_passes_a_used_one():
     source = (
         "from __future__ import annotations\n"
