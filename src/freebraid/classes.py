@@ -58,13 +58,14 @@ labels' places, the lex signature's parity, two-colours the graph: the graph
 keeps it per class as ``sides``, and is_bipartite checks each edge against it.
 
 Reduced words are listed only by enumerate_reduced_words and class_partition,
-each maximal piece of a lex-least word in turn ending the word.  Caps: the
-first time a layer holds more classes than the cap, a walk counts u's
-lex-least words; its partial sums are lower bounds, so one past the cap
-raises the class error.  A layer with more prefixes than the cap raises, and
-so do more classes than the cap in the product of the passes.  Word
-listing counts reduced words.  An engine is built for one element under one
-cap and bounds its work by it.
+each maximal piece of a lex-least word in turn ending the word.  Caps: w has
+at most 2^N(w) <= 2^T classes, T its inversion triples (the paper's bound).
+Under a cap below 2^T, a walk counts u's lex-least words before u's pass;
+its partial sums are lower bounds, so one past the cap raises the class
+error.  A layer with more prefixes than the cap raises, and so do more
+classes than the cap in the product of the passes, which does not rest on
+the bound.  Word listing counts reduced words.  An engine is built for one
+element under one cap and bounds its work by it.
 """
 
 from __future__ import annotations
@@ -244,10 +245,8 @@ def _pass(sub: CoxeterGraph, start: list, bit: dict, ends: dict, word: bytes, ne
     lower = {s: bytes([t for t in free[s] if t < s]) for s in letters}
     sizes = -1 << shift
     layer = {0: (start, {b"": 1 << shift})}
-    walked = False
     for _ in word:
         grown: dict = {}
-        total = 0
         while layer:  # popped, so each v's classes are freed once pushed
             mask, (cols, classes) = layer.popitem()
             for s in letters:
@@ -261,17 +260,12 @@ def _pass(sub: CoxeterGraph, start: list, bit: dict, ends: dict, word: bytes, ne
                     _step(sub, moved, s + 1)
                     entry = grown[to] = moved, {}
                 into = entry[1]
-                total -= len(into)
                 placed = sum([j for low, j in ends[c] if mask & low]) if c in ends else 0
                 piece, commuting, below = pieces[s], free[s], lower[s]
                 for x, k in classes.items():  # s joins the run of letters commuting with it
                     rest = x[len(x.rstrip(commuting)):].lstrip(below)  # that ends x, before its first above s
                     y = x[: len(x) - len(rest)] + piece + rest
                     into[y] = into[y] + (k & sizes) if y in into else k | placed  # one key, however reached
-                total += len(into)
-            if total > cap and not walked:
-                walked = True
-                _capped_walk(sub, start, bit, letters, near, len(word), cap)
             if len(grown) > cap:
                 raise CapExceededError(
                     f"more than {cap} down-sets of one size in a class heap", count=cap + 1
@@ -290,8 +284,8 @@ class _Engine:
     sorted order, to its key, bit j for the j-th sorted inversion triple, and
     ``sizes`` holds their sizes in that order.  ``labels`` holds the
     contractible triples, sorted, and ``places`` their key bits.  ``cap``
-    bounds the classes, the prefixes of one length in a pass and the words
-    ``members`` lists.
+    bounds the classes (by a walk before each pass, where 2^T passes it),
+    the prefixes of one length in a pass and the words ``members`` lists.
     """
 
     __slots__ = ("cap", "support", "near", "classes", "sizes", "labels", "places")
@@ -314,7 +308,11 @@ class _Engine:
             ends.setdefault(column[t.high], []).append((bit[column[t.low]], 1 << j))
         shift = len(triples)
         factors = [bytes([s for s in word if part >> s & 1]) for part in components]
-        parts = [_pass(sub, start, bit, ends, u, near, shift, cap) for u in factors]
+        parts = []
+        for u in factors:
+            if 1 << shift > cap:  # else C(w) <= 2^N(w) <= 2^T <= cap (the paper's bound): no count
+                _capped_walk(sub, start, bit, sorted(set(u)), near, len(u), cap)
+            parts.append(_pass(sub, start, bit, ends, u, near, shift, cap))
         if prod(map(len, parts)) > cap:
             raise CapExceededError(f"more than {cap} commutation classes", count=cap + 1)
         every = (1 << shift) - 1
@@ -399,6 +397,8 @@ _built = functools.lru_cache(maxsize=1)(_Engine)
 
 def _engine(w: Element, cap: int | None = None) -> _Engine:
     """The class engine of w under ``cap``, guarded by the word-length cap."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, not {cap}")
     if w.length > DEFAULT_MAX_WORD_LENGTH:
         raise CapExceededError(
             f"element length {w.length} exceeds the word-length cap {DEFAULT_MAX_WORD_LENGTH}",

@@ -75,14 +75,14 @@ Matrix = tuple[tuple[int, ...], ...]
 
 # Guards for the enumeration entry points.  The sequence cap bounds three
 # things: commutation classes, the prefixes of one length that a pass of the
-# class engine holds, and reduced words where words are listed.  A layer of
-# a pass may hold more classes than the cap: the first time it does, a
-# counting walk decides whether w itself has more, within a budget of cap
-# times the length in states.  The length cap bounds the words we agree to
-# enumerate, and so an element's support: relabelled, its letters fit a
-# byte, which is how the class layer stores every word.  It also bounds the
-# recursions of that walk and of _Engine.members, one call per letter, far
-# below Python's default limit of 1,000.
+# class engine holds, and reduced words where words are listed.  An element
+# has at most 2^T classes, T its inversion triples; where 2^T passes the cap,
+# a counting walk decides before each pass whether the factor has more
+# classes, within a budget of cap times the length in states.  The length
+# cap bounds the words we agree to enumerate, and so an element's support:
+# relabelled, its letters fit a byte, which is how the class layer stores
+# every word.  It also bounds the recursions of that walk and of
+# _Engine.members, one call per letter, far below Python's limit of 1,000.
 DEFAULT_SEQUENCE_CAP = 10**6
 DEFAULT_MAX_WORD_LENGTH = 64
 

@@ -31,6 +31,7 @@ from freebraid import (
     count_classes_and_check_bound,
     element_of,
     enumerate_classes,
+    enumerate_reduced_words,
     f_signature,
     identity_element,
     inversion_triples,
@@ -93,12 +94,16 @@ def count_calls(monkeypatch, *names: tuple[object, str]) -> dict[str, int]:
 
 
 def test_the_engine_braids_once_per_class(monkeypatch):
-    """The 908 classes of w0(A5) are built by inserting pieces in one pass up
-    the weak order, with no braid moves and no class search, and at the
-    default cap the class-count walk never runs."""
+    """The 62 classes of w0(A4) and the 908 of w0(A5) are each built by
+    inserting pieces in one pass up the weak order, with no braid moves and
+    no class search.  The class-count walk runs only where the paper's bound
+    leaves the default cap open: w0(A4) has T = 10 inversion triples, and
+    2^10 is below 10^6, while w0(A5) has T = 20."""
     calls = count_calls(monkeypatch, (freebraid.classes, "_pass"), (freebraid.classes, "_capped_walk"))
-    assert len(enumerate_classes(perm_to_element((6, 5, 4, 3, 2, 1)))) == 908
+    assert len(enumerate_classes(perm_to_element((5, 4, 3, 2, 1)))) == 62
     assert calls == {"_pass": 1, "_capped_walk": 0}
+    assert len(enumerate_classes(perm_to_element((6, 5, 4, 3, 2, 1)))) == 908
+    assert calls == {"_pass": 2, "_capped_walk": 1}
 
 
 def test_analyze_builds_no_heap_and_counts_sizes_once(monkeypatch, capsys):
@@ -115,9 +120,12 @@ def test_the_pass_is_the_only_traversal(monkeypatch, n, steps):
     """Building the engine of w0 in S_n steps the columns once per letter to
     reach w^-1 and once per element of the weak-order interval past e, as the
     pass carries each class's key: n!-1 + C(n,2) steps, and no walk along a
-    class word."""
+    class word.  At a cap of 2^T the paper's bound settles the class cap, so
+    the counting walk, which also steps columns, does not run."""
+    w = perm_to_element(tuple(range(n, 0, -1)))
+    cap = 1 << len(inversion_triples(w))
     calls = count_calls(monkeypatch, (freebraid.classes, "_step"))
-    _Engine(perm_to_element(tuple(range(n, 0, -1))), 10**6)
+    _Engine(w, cap)
     assert calls == {"_step": steps}
     assert steps == factorial(n) - 1 + comb(n, 2)
 
@@ -417,8 +425,9 @@ def test_two_w0_a4_factors_multiply(monkeypatch, capsys):
     (Knuth); a class's words shuffle its factors' words, so the sizes sum to
     C(20, 10) * 768^2 (Stanley); and the graph is the Cartesian product of
     two graphs of 62 vertices and 100 edges, with 2 * 62 * 100 edges.  No
-    pass holds 3,843 classes, so one cap below 62^2 trips on the product,
-    without the counting walk."""
+    pass holds 3,843 classes, so one cap below 62^2 trips on the product:
+    with T = 20 triples the bound 2^20 leaves the cap open, so each of the
+    three builds walks both factors, and no walk trips."""
     spec, word = "1-2,2-3,3-4,5-6,6-7,7-8", (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 6, 5, 7, 6, 5, 8, 7, 6, 5)
     w = element_of(parse_graph(spec), word)
     classes = enumerate_classes(w)
@@ -437,7 +446,7 @@ def test_two_w0_a4_factors_multiply(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: more than 3843 commutation classes (partial count: 3844)\n"
     assert captured.out == ""
-    assert calls == {"_capped_walk": 0}
+    assert calls == {"_capped_walk": 6}
 
 
 @pytest.mark.parametrize(
@@ -523,12 +532,13 @@ def test_size_memo_relabels_letters_above_255():
     assert [c.size for c in enumerate_classes(element_of(g, (299, 1, 300, 2)))] == [6]
 
 
-def test_capped_search_holds_each_class_as_one_word_and_key():
-    """The pass stores a class of a prefix as its bytes word and size, and
-    the counting walk stops it once a layer holds more classes than the cap:
-    the pass over w0(A9), cut at 20,000 classes, peaks under 10 MiB of
-    traced Python memory, as each v's classes are freed once pushed and the
-    walk keys each v by its placed-root bitmask."""
+def test_capped_search_holds_each_class_as_one_word_and_key(monkeypatch):
+    """w0(A9) has 120 inversion triples, so the paper's bound 2^120 leaves a
+    cap of 20,000 classes open, and the counting walk runs before any pass.
+    It keys each v by its placed-root bitmask and stops at the 20,001st
+    lex-least word, so no pass runs and the build peaks under 4 MiB of traced
+    Python memory."""
+    calls = count_calls(monkeypatch, (freebraid.classes, "_pass"), (freebraid.classes, "_capped_walk"))
     w = perm_to_element(tuple(range(10, 0, -1)))
     tracemalloc.start()
     try:
@@ -537,26 +547,114 @@ def test_capped_search_holds_each_class_as_one_word_and_key():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20, peak
+    assert calls == {"_pass": 0, "_capped_walk": 1}
+    assert peak < 4 * 2**20, peak
+
+
+def traced_peak(build) -> int:
+    """The traced Python memory peak of ``build()``, which raises the cap error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="^more than 1000 down-sets of one size in a class heap$"):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_capped_walk_on_a_wide_heap_keys_each_prefix_by_its_mask(monkeypatch):
-    """The fence 1 3 5 ... 19 2 4 ... 20 on A20 is fully commutative, one
-    class, but has Fibonacci-many prefixes: at cap 2,000 the pass hands over
-    to the counting walk once, then raises on the prefixes of one length.
-    The walk's states are (placed-root mask, blocked letters), so the whole
-    run peaks under 6 MiB of traced Python memory."""
-    w = element_of(parse_graph("A20"), (*range(1, 21, 2), *range(2, 21, 2)))
+    """The fence 1 3 5 ... 19 2 4 ... 20 on A25 is fully commutative, one
+    class, but has Fibonacci-many prefixes.  It has no inversion triples, so
+    the paper's bound settles any cap, and at cap 1,000 the pass raises on
+    the prefixes of one length with no walk, under 3 MiB of traced Python
+    memory.  Beside w0(A4) on 22-25, T = 10 and 2^10 leaves the cap open, so
+    the walk counts the fence's one class first: its states are
+    (placed-root mask, blocked letters), so that run peaks under 4 MiB."""
+    fence = (*range(1, 21, 2), *range(2, 21, 2))
+    w = element_of(parse_graph("A25"), fence)
     calls = count_calls(monkeypatch, (freebraid.classes, "_capped_walk"))
+    peak = traced_peak(lambda: _Engine(w, 1000))
+    assert calls == {"_capped_walk": 0}
+    assert peak < 3 * 2**20, peak
+    beside = element_of(w.graph, fence + tuple(21 + s for s in (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)))
+    assert len(inversion_triples(beside)) == 10
+    peak = traced_peak(lambda: _Engine(beside, 1000))
+    assert calls == {"_capped_walk": 1}
+    assert peak < 4 * 2**20, peak
+
+
+def test_w0_e6_is_refused_by_the_walk_alone(monkeypatch):
+    """w0(E6), the bipartite word 1 4 6 2 3 5 six times over, has 120
+    inversion triples and more than 10^6 classes: at the default cap the
+    walk runs first and refuses it, so no pass runs, under 4 MiB of traced
+    Python memory."""
+    w = element_of(parse_graph("E6"), (1, 4, 6, 2, 3, 5) * 6)
+    calls = count_calls(monkeypatch, (freebraid.classes, "_pass"), (freebraid.classes, "_capped_walk"))
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceededError, match="^more than 2000 down-sets of one size in a class heap$"):
-            _Engine(w, 2000)
+        with pytest.raises(CapExceededError, match="^more than 1000000 commutation classes$") as caught:
+            _Engine(w, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == {"_capped_walk": 1}
-    assert peak < 6 * 2**20, peak
+    assert caught.value.count == 1_000_001
+    assert calls == {"_pass": 0, "_capped_walk": 1}
+    assert peak < 4 * 2**20, peak
+
+
+def widest_layer(w) -> int:
+    """The most prefixes of one length of one factor of w, one factor per
+    connected component of its support, from the reduced words of the
+    factor: the count that the pass's down-sets cap bounds."""
+    g, word = w.graph, canonical_word(w)
+    left, widest = set(word), 1
+    while left:
+        part = {left.pop()}
+        todo = list(part)
+        while todo:
+            near = left.intersection(g.neighbors[todo.pop() - 1])
+            left -= near
+            part |= near
+            todo.extend(near)
+        u = element_of(g, tuple(s for s in word if s in part))
+        words = enumerate_reduced_words(u)
+        widest = max(widest, *(len({element_of(g, x[:i]) for x in words}) for i in range(u.length + 1)))
+    return widest
+
+
+@pytest.mark.parametrize(
+    "spec, max_length, seed",
+    [("D4", 12, 21), ("D5", 12, 22), ("E6", 12, 23), ("A5", 12, 24), ("1-2,2-3,1-3", 9, 25),
+     ("1-2,1-3,1-4,2-3,2-4,3-4", 9, 26)],
+)
+def test_the_class_cap_is_exact_on_both_sides_of_the_bound(monkeypatch, spec, max_length, seed):
+    """With C classes, T inversion triples and at most P prefixes of one
+    length in a factor: a cap of C - 1 raises with count C, by the class
+    error when P is within it; a cap of C builds all C classes unless P
+    passes it; and a cap of 2^T, which the paper's bound settles, runs no
+    walk."""
+    calls = count_calls(monkeypatch, (freebraid.classes, "_capped_walk"))
+
+    def builds(w, cap: int, c: int, p: int) -> None:
+        """Under ``cap``, w builds its c classes, unless its p prefixes pass the cap."""
+        if p > cap:
+            with pytest.raises(CapExceededError, match=f"^more than {cap} down-sets of one size in a class heap$"):
+                _Engine(w, cap)
+        else:
+            assert len(_Engine(w, cap).classes) == c, w
+
+    for w in random_elements(parse_graph(spec), 25, max_length, seed):
+        c, t, p = len(_engine(w).classes), len(inversion_triples(w)), widest_layer(w)
+        if c > 1:
+            with pytest.raises(CapExceededError) as caught:
+                _Engine(w, c - 1)
+            assert caught.value.count == c, w
+            if p < c:
+                assert str(caught.value) == f"more than {c - 1} commutation classes", w
+        builds(w, c, c, p)
+        walks = calls["_capped_walk"]
+        builds(w, 1 << t, c, p)
+        assert calls["_capped_walk"] == walks, w
 
 
 def test_wide_heap_exits_on_the_cap(capsys):
@@ -583,6 +681,16 @@ def test_a_cached_engine_still_answers_to_each_cap():
         count_classes_and_check_bound(w, cap=61)
     assert info.value.count == 62
     assert count_classes_and_check_bound(w, cap=62).classes == 62
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("query", [enumerate_classes, count_classes_and_check_bound, commutation_graph])
+def test_a_cap_below_one_is_refused(query, cap):
+    """A cap counts classes, prefixes and words, of which there is always at
+    least one: a cap below 1 is a caller's error, not a cap exit."""
+    w = element_of(parse_graph("A3"), (1, 2, 1, 3, 2, 1))
+    with pytest.raises(ValueError, match=f"^cap must be at least 1, not {cap}$"):
+        query(w, cap=cap)
 
 
 @pytest.mark.parametrize(
